@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -29,7 +30,7 @@ def _canon(value):
         return "[" + ",".join(_canon(v) for v in value) + "]"
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if value is None:
         return "null"
@@ -50,9 +51,20 @@ def dumps(obj) -> str:
 
 
 def dump(obj, path):
-    with open(path, "w") as fh:
-        fh.write(dumps(obj))
-        fh.write("\n")
+    """Write atomically: serialise first, then replace ``path`` with a
+    complete temporary file from its directory, so a failure leaves no
+    partial file behind."""
+    text = dumps(obj) + "\n"
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load(path) -> dict:

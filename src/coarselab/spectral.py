@@ -4,26 +4,25 @@ behind the expander obstruction, and per-quotient Kazhdan-style gaps."""
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog
 
 from .spaces import FiniteMetricSpace, graph_metric
 from .groups import FiniteGroup
 
 EXACT_SUBSET_CAP = 20
-
-
-def worker_count() -> int:
-    """Parallelism cap from COARSELAB_THREADS (default 1, serial)."""
-    raw = os.environ.get("COARSELAB_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"COARSELAB_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
+KAZHDAN_TOL = 1e-9
+# subsets per numpy batch: a flat working set of a few hundred kB at n = 20
+_CHUNK = 1 << 13
+# Kelley stops after _KELLEY_ROUNDS, or once its LP bound is within _DUAL_GAP
+# of the best lambda_min found
+_DUAL_GAP, _KELLEY_ROUNDS = 1e-10, 100
+# HiGHS's tightest feasibility tolerances; its defaults (1e-7) stall Kelley
+_LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# eigenvalues this close to the smallest span the primal's search space
+_EIGEN_BAND = 1e-6
 
 
 class RegularGraph:
@@ -63,18 +62,12 @@ class RegularGraph:
 
 
 def _is_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    if n == 0:
-        return True
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in np.nonzero(adj[v])[0]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    frontier = seen.copy()
+    frontier[:1] = True
+    while frontier.any():
+        seen |= frontier
+        frontier = adj[frontier].any(axis=0) & ~seen
     return bool(seen.all())
 
 
@@ -114,87 +107,66 @@ class ExpansionReport:
     samples: int | None = None
 
 
-def _neighbor_masks(adj: np.ndarray) -> list:
-    n = adj.shape[0]
-    masks = []
-    for v in range(n):
-        m = 0
-        for w in np.nonzero(adj[v])[0]:
-            m |= 1 << int(w)
-        masks.append(m)
-    return masks
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows -> rows of little-endian uint64 mask words."""
+    padded = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 64)))
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64)
 
 
-def _subset_ratio(subset_mask: int, masks, n: int) -> float:
-    nbr = 0
-    m = subset_mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        nbr |= masks[v]
-        m &= m - 1
-    boundary = bin(nbr & ~subset_mask & ((1 << n) - 1)).count("1")
-    a = bin(subset_mask).count("1")
-    return boundary / ((1.0 - a / n) * a)
+def _first_minimum(adj: np.ndarray, batches, score) -> tuple:
+    """Smallest ``score(outer boundary size, size)`` over the subsets of every
+    batch (rows of mask words), and the first subset attaining it."""
+    nbrs = _pack(np.asarray(adj) != 0)
+    best, best_mask = math.inf, None
+    for masks in batches:
+        reach = np.zeros_like(masks)
+        for v, row in enumerate(nbrs):
+            reach |= ((masks[:, v // 64] >> np.uint64(v % 64)) & np.uint64(1))[:, None] * row
+        boundary = np.bitwise_count(reach & ~masks).sum(axis=1, dtype=np.int64)
+        values = score(boundary, np.bitwise_count(masks).sum(axis=1, dtype=np.int64))
+        i = int(np.argmin(values))
+        if values[i] < best:
+            best, best_mask = float(values[i]), masks[i]
+    return best, [] if best_mask is None else [v for v in range(len(nbrs)) if int(best_mask[v // 64]) >> (v % 64) & 1]
+
+
+def _all_subsets(n: int):
+    """Every nonempty proper subset of n <= 64 vertices, ascending by mask."""
+    full = (1 << n) - 1
+    for start in range(1, full, _CHUNK):
+        yield np.arange(start, min(start + _CHUNK, full), dtype=np.uint64)[:, None]
+
+
+def _sampled_subsets(n: int, samples: int, rng):
+    for start in range(0, samples, _CHUNK):
+        bits = np.zeros((min(_CHUNK, samples - start), n), dtype=bool)
+        for row in bits:
+            row[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = True
+        yield _pack(bits)
 
 
 def expansion_constant(graph, mode: str = "exact", samples: int | None = None, seed: int = 0) -> ExpansionReport:
     """Worst-case |boundary(A)| / ((1-|A|/|V|)|A|) over nonempty proper A.
 
-    Boundary is the outer vertex boundary.  Exact mode enumerates all
-    subsets (|V| <= 20); sampled mode draws random subsets and only upper
-    bounds the true constant (the minimizer may be missed), so its report
-    carries the sample count rather than an exactness claim.
+    Boundary is the outer vertex boundary.  Exact mode enumerates all subsets
+    (|V| <= 20); sampled mode draws random subsets and only upper bounds the
+    true constant (the minimizer may be missed), so its report carries the
+    sample count rather than an exactness claim.  Ties go to the first subset.
     """
     adj = graph.adjacency if isinstance(graph, RegularGraph) else np.asarray(graph, dtype=int)
     n = adj.shape[0]
-    masks = _neighbor_masks(adj)
     if mode == "exact":
         if n > EXACT_SUBSET_CAP:
             raise ValueError(f"exact enumeration capped at {EXACT_SUBSET_CAP} vertices")
-        full = (1 << n) - 1
-        jobs = range(1, full)
-        workers = worker_count()
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            chunks = np.array_split(np.arange(1, full), workers)
-
-            def best_of(chunk):
-                best, best_m = math.inf, 0
-                for m in chunk:
-                    r = _subset_ratio(int(m), masks, n)
-                    if r < best:
-                        best, best_m = r, int(m)
-                return best, best_m
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(best_of, chunks))
-            best, best_mask = min(results)
-        else:
-            best, best_mask = math.inf, 0
-            for m in jobs:
-                r = _subset_ratio(m, masks, n)
-                if r < best:
-                    best, best_mask = r, m
-        subset = [v for v in range(n) if best_mask >> v & 1]
-        return ExpansionReport(c=best, subset=subset, mode="exact")
-    if mode == "sampled":
+        batches, samples = _all_subsets(n), None
+    elif mode == "sampled":
         if not samples:
             raise ValueError("sampled mode needs a sample count")
-        rng = np.random.default_rng(seed)
-        best, best_mask = math.inf, 0
-        for _ in range(samples):
-            size = int(rng.integers(1, n))
-            chosen = rng.choice(n, size=size, replace=False)
-            mask = 0
-            for v in chosen:
-                mask |= 1 << int(v)
-            r = _subset_ratio(mask, masks, n)
-            if r < best:
-                best, best_mask = r, mask
-        subset = [v for v in range(n) if best_mask >> v & 1]
-        return ExpansionReport(c=best, subset=subset, mode="sampled", samples=samples)
-    raise ValueError(f"unknown mode {mode!r}")
+        batches = _sampled_subsets(n, samples, np.random.default_rng(seed))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    c, subset = _first_minimum(adj, batches, lambda boundary, size: boundary / ((1.0 - size / n) * size))
+    return ExpansionReport(c=c, subset=subset, mode=mode, samples=samples)
 
 
 @dataclass
@@ -239,6 +211,9 @@ def concentration_test(g: RegularGraph, coords, c_edge: float | None = None) -> 
 
 @dataclass
 class KazhdanReport:
+    """``weights``: the dual weights t over the ``kazhdan_forms``, so anyone can
+    recompute cert_lower**2 = lambda_min(sum_k t_k Q_k)."""
+
     eps: float
     cert_lower: float
     exact: bool
@@ -246,124 +221,148 @@ class KazhdanReport:
     worst_subset: list | None
     worst_margin: float | None
     lam: float
+    weights: np.ndarray
 
 
 def _cayley_adjacency(group: FiniteGroup) -> np.ndarray:
     adj = np.zeros((group.n, group.n), dtype=int)
-    for g in range(group.n):
-        for s in group.generators:
-            adj[g, group.mult(g, s)] = 1
+    adj[np.arange(group.n)[:, None], group.table[:, group.generators]] = 1
     return adj
 
 
-def kazhdan_gap(
-    group: FiniteGroup,
-    exact_threshold: int = 12,
-    restarts: int = 50,
-    seed: int = 0,
-    check_expansion: bool = True,
-) -> KazhdanReport:
+def kazhdan_forms(group: FiniteGroup) -> tuple:
+    """The distinct displacement forms f -> |sf - f|^2 of the generators in
+    generator order (Q_s = Q_{s^-1}; equal integer matrices merge), on the
+    mean-zero subspace in ``_meanzero_basis`` coordinates, with counts."""
+    eye = np.eye(group.n, dtype=np.int64)
+    distinct = {}
+    for s in group.generators:
+        diff = eye[group.table[:, s]] - eye  # f -> f(. s) - f
+        q = diff.T @ diff
+        distinct.setdefault(q.tobytes(), [q, 0])[1] += 1
+    basis = _meanzero_basis(group.n)
+    return np.array([basis.T @ q @ basis for q, _ in distinct.values()]), np.array([c for _, c in distinct.values()])
+
+
+def _minmax_lp(rows: np.ndarray) -> tuple:
+    """(p, value): p in the simplex minimising max_i rows_i . p; p is None if HiGHS fails."""
+    m, d = rows.shape
+    res = linprog(np.r_[np.zeros(d), 1.0], A_ub=np.hstack([rows, -np.ones((m, 1))]), b_ub=np.zeros(m),
+                  A_eq=np.r_[np.ones(d), 0.0][None, :], b_eq=[1.0], bounds=[(0, None)] * d + [(None, None)],
+                  method="highs", options=_LP_TOLERANCES)
+    if res.status != 0:
+        return None, math.inf
+    p = np.clip(res.x[:d], 0.0, None)
+    return p / p.sum(), float(res.fun)
+
+
+def _kelley_dual(forms: np.ndarray, t: np.ndarray) -> tuple:
+    """max over the simplex of lambda_min(sum_k t_k Q_k), by Kelley's
+    cutting planes from the weights t.  Any unit v gives the cut
+    lambda_min(Q(t)) <= sum_k t_k v'Q_k v, so each eigensolve adds one cut
+    per eigenvector.  Returns the best weights evaluated and their value."""
+    if len(forms) == 1:
+        return np.ones(1), float(np.linalg.eigvalsh(forms[0])[0])
+    cuts, best_t, best = [], t, -math.inf
+    for _ in range(_KELLEY_ROUNDS):
+        vals, vecs = np.linalg.eigh(np.tensordot(t, forms, 1))
+        if vals[0] > best:
+            best_t, best = t, float(vals[0])
+        cuts.append(np.einsum("kia,ia->ak", forms @ vecs, vecs))
+        # max_t min_j cut_j . t bounds the dual; an unmoved t means LP tolerance
+        t_next, minus_bound = _minmax_lp(-np.vstack(cuts))
+        if t_next is None or -minus_bound - best <= _DUAL_GAP or np.array_equal(t_next, t):
+            break
+        t = t_next
+    return best_t, best
+
+
+def _primal_vector(forms: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """A unit vector of the bottom eigenspace V of sum_k t_k Q_k with a small
+    worst form: the eigenvector if dim V = 1; an LP over squared coordinates
+    if the forms on V are jointly diagonal; else a descent inside V."""
+    vals, vecs = np.linalg.eigh(np.tensordot(t, forms, 1))
+    space = vecs[:, vals <= vals[0] + _EIGEN_BAND]
+    if space.shape[1] == 1:
+        return space[:, 0]
+    restricted = space.T @ forms @ space
+    eye = np.eye(space.shape[1])
+    # a generic mix of commuting forms has their joint eigenbasis
+    _, joint = np.linalg.eigh(np.tensordot(np.sqrt(np.arange(2.0, len(forms) + 2)), restricted, 1))
+    diag = joint.T @ restricted @ joint
+    diagonal = np.diagonal(diag, axis1=1, axis2=2)
+    if np.abs(diag - diagonal[:, :, None] * eye).max() <= KAZHDAN_TOL * max(1.0, np.abs(diag).max()):
+        p, _ = _minmax_lp(diagonal)  # each form is linear in the squared coordinates
+        if p is not None:
+            return space @ (joint @ np.sqrt(p))
+    return space @ _sphere_descent(restricted - vals[0] * eye)
+
+
+def _sphere_descent(shifted: np.ndarray) -> np.ndarray:
+    """Unit c with a small worst form, by projected gradient descent of
+    sum_k max(c'A_k c, 0)^2 from each coordinate vector: the dual weights
+    average the A_k to zero on V, so it is 0 where no form exceeds the dual."""
+
+    def excess(c):
+        return np.clip(np.einsum("i,kij,j->k", c, shifted, c), 0.0, None)
+
+    ends = []
+    for c in np.eye(shifted.shape[1]):
+        step = 1.0
+        for _ in range(200):
+            over = excess(c)
+            grad = 4.0 * np.einsum("k,kij,j->i", over, shifted, c)
+            grad -= (grad @ c) * c
+            while over.any() and step > 1e-12:
+                trial = (c - step * grad) / np.linalg.norm(c - step * grad)
+                if np.sum(excess(trial) ** 2) < over @ over - 1e-4 * step * (grad @ grad):
+                    break
+                step /= 2.0
+            else:
+                break
+            c, step = trial, 2.0 * step
+        ends.append(c)
+    return min(ends, key=lambda c: np.einsum("i,kij,j->k", c, shifted, c).max())
+
+
+def kazhdan_gap(group: FiniteGroup, check_expansion: bool = True) -> KazhdanReport:
     """Smallest worst-generator displacement over unit mean-zero functions.
 
     eps = min over mean-zero unit f of max over generators s of |sf - f|
-    under the (right) translation action on the Cayley graph.  A certified
-    lower bound sqrt(2 lam / |S|) comes from averaging the per-generator
-    quadratic forms; the min-max itself is solved by constrained
-    optimization with seeded restarts (exact claim only when the restarts
-    agree).  The per-quotient expansion inequality
-    |boundary(A)| >= (eps^2/2)(1 - |A|/m)|A| is then verified exhaustively
-    for |V| <= 16.
+    (right translation on the Cayley graph).  The dual, max over weights t
+    in the simplex of lambda_min(sum_s t_s Q_s) over the distinct generator
+    forms, gives cert_lower = sqrt(dual) >= sqrt(2 lam / |S|) (the uniform
+    weights) and the weights; eps is attained by a unit vector of the bottom
+    eigenspace at those weights, so cert_lower <= min <= eps; ``exact`` means
+    eps - cert_lower <= KAZHDAN_TOL.  |boundary(A)| >= (eps^2/2)(1 - |A|/m)|A|
+    is then checked exhaustively, within 1e-9, for |V| <= 16.
     """
     n = group.n
     if n < 2:
         raise ValueError("group must have at least two elements")
     adj = _cayley_adjacency(group)
-    graph = RegularGraph(adj, degree=len(group.generators))
-    lam = laplacian_gap(graph).lam
-    cert = math.sqrt(2.0 * lam / len(group.generators))
-
-    # per-generator displacement forms on the mean-zero subspace
-    basis = _meanzero_basis(n)
-    forms = []
-    for s in group.generators:
-        perm = group.table[:, s]  # f -> f(. s)
-        diff = np.eye(n)[perm] - np.eye(n)
-        q = diff.T @ diff
-        forms.append(basis.T @ q @ basis)
-
-    best = math.inf
-    values = []
-    if n <= max(exact_threshold, 16):
-        rng = np.random.default_rng(seed)
-        dim = n - 1
-
-        def objective(c):
-            return max(float(c @ m @ c) for m in forms)
-
-        starts = [rng.standard_normal(dim) for _ in range(restarts)]
-        avg = sum(forms)
-        vals, vecs = np.linalg.eigh(avg)
-        starts.extend(vecs[:, i] for i in range(min(dim, 4)))
-        # epigraph form keeps the problem smooth for SLSQP
-        constraints = [{"type": "eq", "fun": lambda z: z[:-1] @ z[:-1] - 1.0}]
-        for m in forms:
-            constraints.append({"type": "ineq", "fun": (lambda m: lambda z: z[-1] - z[:-1] @ m @ z[:-1])(m)})
-        for x0 in starts:
-            x0 = x0 / np.linalg.norm(x0)
-            z0 = np.append(x0, objective(x0))
-            res = minimize(
-                lambda z: z[-1],
-                z0,
-                method="SLSQP",
-                constraints=constraints,
-                options={"maxiter": 400, "ftol": 1e-14},
-            )
-            c = res.x[:-1]
-            norm = np.linalg.norm(c)
-            if res.success and norm > 1e-9 and abs(norm - 1.0) < 1e-6:
-                values.append(objective(c / norm))
-        if values:
-            best = min(values)
-    if math.isinf(best):
-        eps = cert
-        exact = False
-    else:
-        eps = math.sqrt(max(best, 0.0))
-        eps = max(eps, cert)  # the certificate is a true lower bound
-        close = [v for v in values if v <= best + 1e-7]
-        exact = len(close) >= 2 or abs(eps - cert) < 1e-6
-
-    expansion_ok = None
-    worst_subset = None
-    worst_margin = None
+    lam = laplacian_gap(RegularGraph(adj, degree=len(group.generators))).lam
+    forms, counts = kazhdan_forms(group)
+    weights, dual = _kelley_dual(forms, counts / counts.sum())
+    f = _meanzero_basis(n) @ _primal_vector(forms, weights)
+    f /= np.linalg.norm(f)
+    eps = max(float(np.linalg.norm(f[group.table[:, s]] - f)) for s in group.generators)
+    cert = math.sqrt(max(dual, 0.0))
+    expansion_ok = worst_subset = worst_margin = None
     if check_expansion and n <= 16:
-        masks = _neighbor_masks(adj)
-        expansion_ok = True
-        worst_margin = math.inf
-        for m in range(1, (1 << n) - 1):
-            a = bin(m).count("1")
-            nbr = 0
-            mm = m
-            while mm:
-                v = (mm & -mm).bit_length() - 1
-                nbr |= masks[v]
-                mm &= mm - 1
-            boundary = bin(nbr & ~m & ((1 << n) - 1)).count("1")
-            needed = (eps**2 / 2.0) * (1.0 - a / n) * a
-            margin = boundary - needed
-            if margin < worst_margin:
-                worst_margin = margin
-                worst_subset = [v for v in range(n) if m >> v & 1]
-            if boundary + 1e-9 < needed:
-                expansion_ok = False
+        half = eps**2 / 2.0
+        worst_margin, worst_subset = _first_minimum(
+            adj, _all_subsets(n), lambda boundary, size: boundary - half * (1.0 - size / n) * size)
+        expansion_ok = worst_margin >= -1e-9
     return KazhdanReport(
         eps=eps,
         cert_lower=cert,
-        exact=exact,
+        exact=eps - cert <= KAZHDAN_TOL,
         expansion_ok=expansion_ok,
         worst_subset=worst_subset,
         worst_margin=worst_margin,
         lam=lam,
+        weights=weights,
     )
 
 

@@ -150,3 +150,122 @@ def test_group_json_roundtrip(tmp_path):
     back = io.group_from_doc(json.loads(io.dumps(doc)))
     assert np.array_equal(back.table, g.table)
     assert np.allclose(cayley_metric(back).dist, cayley_metric(g).dist)
+
+
+def _kernel_inputs(runner, tmp_path):
+    sp_path = tmp_path / "c6.json"
+    invoke(runner, ["space", "--kind", "cycle", "--n", "6", "--out", str(sp_path)])
+    dist = io.space_from_doc(io.load(sp_path)).dist
+    kneg, kpos = tmp_path / "kneg.json", tmp_path / "kpos.json"
+    io.dump(io.kernel_to_doc(dist**2), kneg)
+    io.dump(io.kernel_to_doc(np.exp(-(dist**2) / 4.0)), kpos)
+    return sp_path, kneg, kpos
+
+
+def test_kernel_classify_out_writes_numpy_flags(runner, tmp_path):
+    _sp, kneg, _kpos = _kernel_inputs(runner, tmp_path)
+    out = tmp_path / "kclass.json"
+    res = invoke(runner, ["kernel", "classify", "--in", str(kneg), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    assert doc["kind"] == "kernel-class" and isinstance(doc["negative_type"], bool)
+    assert invoke(runner, ["report", "--in", str(out)]).exit_code == 0
+
+
+def test_kernel_bridge_out_writes_numpy_flags(runner, tmp_path):
+    sp, _kneg, kpos = _kernel_inputs(runner, tmp_path)
+    out = tmp_path / "kbridge.json"
+    res = invoke(runner, ["kernel", "bridge", "--in", str(kpos), "--space", str(sp), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(out.read_text())
+    assert doc["kind"] == "operator-report" and doc["psd_agreement"] is True
+    assert invoke(runner, ["report", "--in", str(out)]).exit_code == 0
+
+
+def test_unwritable_report_fails_cleanly_and_leaves_no_file(runner, tmp_path):
+    # a zero-scale ball witness converts to a set family with eps = inf,
+    # which the canonical writer refuses
+    sp = tmp_path / "c8.json"
+    w = tmp_path / "w.json"
+    rep = tmp_path / "r.json"
+    invoke(runner, ["space", "gen", "--kind", "cycle", "--n", "8", "--out", str(sp)])
+    res = invoke(runner, ["witness", "build", "--space", str(sp), "--kind", "ball", "--s", "0", "--out", str(w)])
+    assert res.exit_code == 0, res.output
+    res = invoke(runner, ["witness", "convert", "--in", str(w), "--space", str(sp), "--to", "a-family",
+                          "--m", "1", "--report", str(rep)])
+    assert res.exit_code != 0
+    assert "error:" in res.output
+    assert not rep.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c8.json", "w.json"]
+
+
+def test_report_rejects_unreadable_json(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema": "coarselab/1", "kind": "space"')
+    res = invoke(runner, ["report", "--in", str(bad)])
+    assert res.exit_code == 1 and "error: cannot read" in res.output
+
+
+def _rewrite(path, **changes):
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    out = path.with_name("tampered-" + path.name)
+    out.write_text(json.dumps(doc))
+    return out
+
+
+def test_report_checks_every_written_kind(runner, tmp_path):
+    def run(*args):
+        res = invoke(runner, [str(a) for a in args])
+        assert res.exit_code == 0, res.output
+
+    sp = tmp_path / "rr.json"
+    run("space", "gen", "--kind", "random-regular", "--n", 10, "--seed", 3, "--out", sp)
+    graph = tmp_path / "g.json"
+    io.dump(io.graph_to_doc(random_regular_graph(10, 3, seed=3)), graph)
+    sp_c6, kneg, kpos = _kernel_inputs(runner, tmp_path)
+    written = {
+        "w.rep.json": ["witness", "build", "--space", sp, "--kind", "ball", "--s", 2, "--r", 1,
+                       "--report", tmp_path / "w.rep.json"],
+        "kclass.json": ["kernel", "classify", "--in", kneg, "--out", tmp_path / "kclass.json"],
+        "kbridge.json": ["kernel", "bridge", "--in", kpos, "--space", sp_c6, "--out", tmp_path / "kbridge.json"],
+        "spec.json": ["spectral", "report", "--in", graph, "--out", tmp_path / "spec.json"],
+        "exp.json": ["spectral", "expansion", "--in", graph, "--out", tmp_path / "exp.json"],
+        "exps.json": ["spectral", "expansion", "--in", graph, "--mode", "sampled", "--samples", 300,
+                      "--seed", 4, "--out", tmp_path / "exps.json"],
+        "kaz.json": ["spectral", "kazhdan", "--group", "dihedral", "--n", 4, "--out", tmp_path / "kaz.json"],
+        "diam.json": ["diam", "--group", "zn", "--n", 4, "--r", 1, "--r", 2, "--eps", 0.5, "--eps", 0.25,
+                      "--out", tmp_path / "diam.json"],
+    }
+    for name, args in written.items():
+        run(*args)
+        res = invoke(runner, ["report", "--in", str(tmp_path / name)])
+        assert res.exit_code == 0, (name, res.output)
+    for name in ("spec.json", "exp.json", "exps.json"):
+        res = invoke(runner, ["report", "--in", str(tmp_path / name), "--space", str(sp)])
+        assert res.exit_code == 0, (name, res.output)
+
+    kaz = json.loads((tmp_path / "kaz.json").read_text())
+    assert kaz["group"] == "dihedral" and kaz["n"] == 4 and "seed" not in kaz
+    diam = json.loads((tmp_path / "diam.json").read_text())
+    # a larger R may never need a smaller support radius
+    flipped = [dict(e, S=e["S"] - 1.0 if e["R"] == 2 else e["S"]) for e in diam["entries"]]
+    tampered = [
+        ("w.rep.json", {"form": "sonnet"}, "unknown witness form"),
+        ("kclass.json", {"min_eigenvalue": 1.0, "positive_type": False}, "positive_type"),
+        ("kbridge.json", {"norm_within_bound": False}, "ball bound"),
+        ("spec.json", {"lambda": 0.5}, "second-smallest"),
+        ("exp.json", {"mode": "sampled"}, "sample count"),
+        ("kaz.json", {"certified_lower": kaz["certified_lower"] + 1e-6}, "below certified_lower^2"),
+        ("kaz.json", {"eps": kaz["eps"] + 1e-3}, "primal-dual gap"),
+        ("kaz.json", {"weights": [1.0]}, "simplex"),
+        ("diam.json", {"entries": flipped}, "monotone"),
+    ]
+    for name, changes, message in tampered:
+        res = invoke(runner, ["report", "--in", str(_rewrite(tmp_path / name, **changes))])
+        assert res.exit_code == 1 and message in res.output, (name, changes, res.output)
+    # re-measurement against --space catches a c the graph does not have
+    moved = _rewrite(tmp_path / "exp.json", c=json.loads((tmp_path / "exp.json").read_text())["c"] + 0.1)
+    assert invoke(runner, ["report", "--in", str(moved)]).exit_code == 0
+    res = invoke(runner, ["report", "--in", str(moved), "--space", str(sp)])
+    assert res.exit_code == 1 and "re-measured" in res.output
