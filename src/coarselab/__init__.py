@@ -36,7 +36,6 @@ from .witnesses import (
     tree_witness,
     lipschitz_partition,
     glue_witness,
-    derived_space_witness,
     product_witness,
     union_witness,
     subspace_witness,
@@ -106,7 +105,6 @@ from .amenability import (
     optimal_folner,
     witness_feasibility,
     diam_table,
-    folner_witness_bridge,
     folner_to_witness,
     witness_to_folner,
     kernel_to_function,

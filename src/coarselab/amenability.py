@@ -11,13 +11,12 @@ agree; the tables here compute both by independent linear programs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .exactlp import minimize_lp, LPError
+from .exactlp import LPError, solve_lp
 from .groups import FiniteGroup, cayley_metric, group_power
 from .spaces import FiniteMetricSpace, _scaled_tol
 from .witnesses import LpWitness
@@ -85,56 +84,45 @@ def optimal_folner(group: FiniteGroup, R: float, S: float, exact: bool | None = 
     movers = [g for g in range(group.n) if g != group.identity and group.lengths[g] <= R + 1e-9]
     fpos = {h: i for i, h in enumerate(ball)}
     nf = len(ball)
-    vstart = nf  # then one slab of v-vars per mover
-    vindex = {}
-    col = vstart
-    for g in movers:
-        gball = sorted({group.mult(g, h) for h in ball} | set(ball))
-        for h in gball:
-            vindex[(g, h)] = col
-            col += 1
-    tcol = col
-    ncols = col + 1
-    a_ub, b_ub = [], []
-    for g in movers:
+    # columns: f on the ball, then one slab of v-vars per mover, then t
+    gballs = [sorted({group.mult(g, h) for h in ball} | set(ball)) for g in movers]
+    tcol = nf + sum(len(gball) for gball in gballs)
+    ub, b_ub = [], []  # A_ub as (row, col, value) triplets
+    col = nf
+    for g, gball in zip(movers, gballs):
         gi = group.inverse[g]
-        total = [0] * ncols
-        for (gg, h), j in vindex.items():
-            if gg != g:
-                continue
-            row = [0] * ncols
+        for h in gball:
             # (gf - f)(h) - v_{g,h} <= 0
+            row = len(b_ub)
             src = group.mult(gi, h)
             if src in fpos:
-                row[fpos[src]] += 1
+                ub.append((row, fpos[src], 1))
             if h in fpos:
-                row[fpos[h]] -= 1
-            row[j] = -1
-            a_ub.append(row)
+                ub.append((row, fpos[h], -1))
+            ub.append((row, col, -1))
             b_ub.append(0)
-            total[j] = 2
-        total[tcol] = -1
-        a_ub.append(total)
+            col += 1
+        # 2 * sum_h v_{g,h} - t <= 0
+        row = len(b_ub)
+        ub += [(row, j, 2) for j in range(col - len(gball), col)]
+        ub.append((row, tcol, -1))
         b_ub.append(0)
-    a_eq = [[1] * nf + [0] * (ncols - nf)]
-    b_eq = [1]
+    eq = [(0, i, 1) for i in range(nf)]
     c = [0] * tcol + [1]
     try:
-        x, value = minimize_lp(c, a_ub, b_ub, a_eq, b_eq, exact=exact)
+        x, value = solve_lp(c, ub, b_ub, eq, [1], exact=exact)
     except LPError as exc:
         raise LPError(f"Folner LP failed (signals a solver fault): {exc}") from exc
     if exact:
         values = [Fraction(0)] * group.n
         for h, i in fpos.items():
             values[h] = x[i]
-        defect = value
     else:
         values = np.zeros(group.n)
         for h, i in fpos.items():
             values[h] = max(float(x[i]), 0.0)
         values /= values.sum()
-        defect = float(value)
-    return FolnerFunction(group=group, values=values), defect
+    return FolnerFunction(group=group, values=values), value
 
 
 def witness_feasibility(space: FiniteMetricSpace, R: float, S: float, exact: bool = False):
@@ -155,47 +143,34 @@ def witness_feasibility(space: FiniteMetricSpace, R: float, S: float, exact: boo
             fpos[(x, y)] = col
             col += 1
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n) if space.dist[x, y] <= R + tol]
-    vindex = {}
-    for pair in pairs:
-        x, y = pair
-        union = sorted(set(balls[x]) | set(balls[y]))
+    # columns: the f-table, then one slab of v-vars per pair, then t
+    unions = [sorted(set(balls[x]) | set(balls[y])) for x, y in pairs]
+    tcol = col + sum(len(union) for union in unions)
+    ub, b_ub = [], []  # A_ub as (row, col, value) triplets
+    for (x, y), union in zip(pairs, unions):
         for z in union:
-            vindex[(pair, z)] = col
-            col += 1
-    tcol = col
-    ncols = col + 1
-    a_ub, b_ub = [], []
-    for pair in pairs:
-        x, y = pair
-        total = [0] * ncols
-        union = sorted(set(balls[x]) | set(balls[y]))
-        for z in union:
-            row = [0] * ncols
+            # xi_x(z) - xi_y(z) - v_{pair,z} <= 0
+            row = len(b_ub)
             if (x, z) in fpos:
-                row[fpos[(x, z)]] += 1
+                ub.append((row, fpos[(x, z)], 1))
             if (y, z) in fpos:
-                row[fpos[(y, z)]] -= 1
-            row[vindex[(pair, z)]] = -1
-            a_ub.append(row)
+                ub.append((row, fpos[(y, z)], -1))
+            ub.append((row, col, -1))
             b_ub.append(0)
-            total[vindex[(pair, z)]] = 2
-        total[tcol] = -1
-        a_ub.append(total)
+            col += 1
+        # 2 * sum_z v_{pair,z} - t <= 0
+        row = len(b_ub)
+        ub += [(row, j, 2) for j in range(col - len(union), col)]
+        ub.append((row, tcol, -1))
         b_ub.append(0)
-    a_eq, b_eq = [], []
-    for x in range(n):
-        row = [0] * ncols
-        for y in balls[x]:
-            row[fpos[(x, y)]] = 1
-        a_eq.append(row)
-        b_eq.append(1)
+    eq = [(x, fpos[(x, y)], 1) for x in range(n) for y in balls[x]]
     c = [0] * tcol + [1]
-    x_opt, value = minimize_lp(c, a_ub, b_ub, a_eq, b_eq, exact=exact)
+    x_opt, value = solve_lp(c, ub, b_ub, eq, [1] * n, exact=exact)
     table = np.zeros((n, n))
     for (xx, yy), i in fpos.items():
         table[xx, yy] = max(float(x_opt[i]), 0.0)
     table /= table.sum(axis=1, keepdims=True)
-    return table, (value if exact else float(value))
+    return table, value
 
 
 @dataclass
@@ -225,8 +200,8 @@ class DiamTable:
         return ok
 
 
-def _defect_below(defect, eps, exact: bool) -> bool:
-    if exact and isinstance(defect, Fraction):
+def _defect_below(defect, eps) -> bool:
+    if isinstance(defect, Fraction):
         return defect < Fraction(eps).limit_denominator(10**6)
     return float(defect) < eps - 1e-9
 
@@ -239,47 +214,32 @@ def diam_table(target, R_grid, eps_grid, form: str, exact: bool | None = None) -
     the joint per-point LP.  Radii are scanned over the attained distance
     values, so entries are exact integers on word metrics.
     """
+    if any(eps <= 0 for eps in eps_grid):
+        raise ValueError("eps must be positive: no defect is below eps <= 0")
     if form == "folner":
         if not isinstance(target, FiniteGroup):
             raise ValueError("folner form needs a finite group")
-        group = target
-        if exact is None:
-            exact = group.n <= EXACT_GROUP_CAP
-        radii = sorted(set(float(v) for v in group.lengths))
-        table = DiamTable(target=repr(group), form="folner")
-        for R in R_grid:
-            for eps in eps_grid:
-                found = None
-                for S in radii:
-                    _f, defect = optimal_folner(group, R, S, exact=exact)
-                    table.defects[(R, eps, S)] = defect
-                    if _defect_below(defect, eps, exact):
-                        found = S
-                        break
-                if found is None:
-                    raise LPError("no admissible S up to the diameter (signals a bug)")
-                table.entries[(R, eps)] = found
-        return table
-    if form == "witness":
-        space = cayley_metric(target) if isinstance(target, FiniteGroup) else target
-        if exact is None:
-            exact = space.n <= 8
-        radii = sorted(set(float(v) for v in np.unique(space.dist)))
-        table = DiamTable(target=repr(space), form="witness")
-        for R in R_grid:
-            for eps in eps_grid:
-                found = None
-                for S in radii:
-                    _t, defect = witness_feasibility(space, R, S, exact=exact)
-                    table.defects[(R, eps, S)] = defect
-                    if _defect_below(defect, eps, exact):
-                        found = S
-                        break
-                if found is None:
-                    raise LPError("no admissible S up to the diameter (signals a bug)")
-                table.entries[(R, eps)] = found
-        return table
-    raise ValueError(f"unknown diam form {form!r}")
+        problem, solve, exact_cap, distances = target, optimal_folner, EXACT_GROUP_CAP, target.lengths
+    elif form == "witness":
+        problem = cayley_metric(target) if isinstance(target, FiniteGroup) else target
+        solve, exact_cap, distances = witness_feasibility, 8, problem.dist
+    else:
+        raise ValueError(f"unknown diam form {form!r}")
+    if exact is None:
+        exact = problem.n <= exact_cap
+    radii = [float(v) for v in np.unique(distances)]
+    table = DiamTable(target=repr(problem), form=form)
+    for R in R_grid:
+        for eps in eps_grid:
+            for S in radii:
+                _opt, defect = solve(problem, R, S, exact=exact)
+                table.defects[(R, eps, S)] = defect
+                if _defect_below(defect, eps):
+                    table.entries[(R, eps)] = S
+                    break
+            else:
+                raise LPError("no admissible S up to the diameter (signals a bug)")
+    return table
 
 
 def folner_to_witness(group: FiniteGroup, f: FolnerFunction) -> LpWitness:
@@ -305,14 +265,6 @@ def witness_to_folner(group: FiniteGroup, w: LpWitness) -> FolnerFunction:
     for h in range(n):
         values[h] = np.mean([w.table[g, group.mult(g, h)] for g in range(n)])
     return FolnerFunction(group=group, values=values)
-
-
-def folner_witness_bridge(direction: str, group: FiniteGroup, data):
-    if direction == "to_witness":
-        return folner_to_witness(group, data)
-    if direction == "to_folner":
-        return witness_to_folner(group, data)
-    raise ValueError(f"unknown bridge direction {direction!r}")
 
 
 def kernel_to_function(group: FiniteGroup, kernel) -> np.ndarray:

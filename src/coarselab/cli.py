@@ -365,8 +365,11 @@ def spectral(action, inp, group_kind, n, mode, samples, seed, tol, out, csv_path
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def diam(group_kind, n, r_values, eps_values, form, exact, out, csv_path):
     """Minimal support radius table for a named group."""
-    g = _named_group(group_kind, n)
-    table = A.diam_table(g, list(r_values), list(eps_values), form=form, exact=exact)
+    try:
+        g = _named_group(group_kind, n)
+        table = A.diam_table(g, list(r_values), list(eps_values), form=form, exact=exact)
+    except (ValueError, A.LPError) as exc:
+        _fail(str(exc))
     if not table.monotone():
         _fail("diam table violates monotonicity")
     doc = {

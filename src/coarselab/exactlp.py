@@ -1,165 +1,94 @@
-"""Linear programming with an exact rational path.
+"""Linear programs on HiGHS, with exact optima proven by certificate.
 
-Small instances (group/space optimization at desk scale) are solved by a
-dense two-phase simplex over ``fractions.Fraction`` with Bland's rule, so
-optimal defects compare exactly against rational thresholds.  Larger
-instances fall back to scipy's HiGHS solver in floats.
+Every LP ``min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0`` is one
+``linprog(method="highs")`` call on sparse matrices.  An exact solve then
+proves the float optimum in rational arithmetic: the primal point and the
+duals are rounded to fractions with denominators at most
+``DENOMINATOR_CAP`` and must be primal feasible, dual feasible and of equal
+objective, which by weak duality makes the common value the exact optimum
+(the approach of Applegate, Cook, Dash & Espinoza 2007).  A failed check
+raises LPError; there is no second solver and no float fallback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
-FEAS_TOL = 1e-9
+DENOMINATOR_CAP = 10**6
 
 
 class LPError(RuntimeError):
     pass
 
 
-def _to_fraction_rows(rows):
-    return [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in rows]
+def _matrix(triplets, nrows: int, ncols: int):
+    if not nrows:
+        return None
+    rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+    return coo_array((vals, (rows, cols)), shape=(nrows, ncols), dtype=float).tocsr()
 
 
-def _simplex(tableau, basis, ncols):
-    """In-place Bland-rule simplex on a tableau whose last column is b and
-    last row is the (negated) objective."""
-    nrows = len(tableau) - 1
-    while True:
-        obj = tableau[-1]
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            return
-        leave, best = -1, None
-        for i in range(nrows):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave < 0:
-            raise LPError("LP is unbounded")
-        _pivot(tableau, leave, enter)
-        basis[leave] = enter
+def solve_lp(c, ub, b_ub, eq, b_eq, exact: bool):
+    """min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
-
-def _pivot(tableau, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            factor = r[col]
-            prow = tableau[row]
-            tableau[i] = [v - factor * pv for v, pv in zip(r, prow)]
-
-
-def solve_exact(c, a_ub, b_ub, a_eq, b_eq):
-    """min c.x s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0, over Fractions."""
-    c = [Fraction(v) for v in c]
-    a_ub = _to_fraction_rows(a_ub)
-    b_ub = [Fraction(v) for v in b_ub]
-    a_eq = _to_fraction_rows(a_eq)
-    b_eq = [Fraction(v) for v in b_eq]
-    nvars = len(c)
-    nub, neq = len(a_ub), len(a_eq)
-    rows = []
-    senses = []
-    for row, b in zip(a_ub, b_ub):
-        if b < 0:
-            rows.append(([-v for v in row], -b))
-            senses.append("ge")
-        else:
-            rows.append((list(row), b))
-            senses.append("le")
-    for row, b in zip(a_eq, b_eq):
-        if b < 0:
-            rows.append(([-v for v in row], -b))
-        else:
-            rows.append((list(row), b))
-        senses.append("eq")
-    m = len(rows)
-    nslack = sum(1 for s in senses if s in ("le", "ge"))
-    art_needed = [s in ("eq", "ge") for s in senses]
-    nart = sum(art_needed)
-    ncols = nvars + nslack + nart
-    tableau = []
-    basis = []
-    si = 0
-    ai = 0
-    for (row, b), sense, needs_art in zip(rows, senses, art_needed):
-        line = row + [Fraction(0)] * (nslack + nart) + [b]
-        if sense in ("le", "ge"):
-            line[nvars + si] = Fraction(1) if sense == "le" else Fraction(-1)
-            if sense == "le":
-                basis.append(nvars + si)
-            si += 1
-        if needs_art:
-            line[nvars + nslack + ai] = Fraction(1)
-            basis.append(nvars + nslack + ai)
-            ai += 1
-        tableau.append(line)
-    # phase 1: minimize the artificial sum
-    obj = [Fraction(0)] * ncols + [Fraction(0)]
-    for j in range(nvars + nslack, ncols):
-        obj[j] = Fraction(1)
-    tableau.append(obj)
-    for i, bidx in enumerate(basis):
-        if bidx >= nvars + nslack:
-            tableau[-1] = [v - rv for v, rv in zip(tableau[-1], tableau[i])]
-    _simplex(tableau, basis, ncols)
-    if tableau[-1][-1] != 0:  # phase-1 optimum is -last entry
-        raise LPError("infeasible")
-    # drive leftover artificials out of the basis where possible
-    for i, bidx in enumerate(basis):
-        if bidx >= nvars + nslack:
-            for j in range(nvars + nslack):
-                if tableau[i][j] != 0:
-                    _pivot(tableau, i, j)
-                    basis[i] = j
-                    break
-    tableau.pop()
-    # phase 2 objective
-    obj = [Fraction(v) for v in c] + [Fraction(0)] * (nslack + nart) + [Fraction(0)]
-    for j in range(nvars + nslack, ncols):
-        obj[j] = Fraction(0)
-    tableau.append(obj)
-    for i, bidx in enumerate(basis):
-        if tableau[-1][bidx] != 0:
-            factor = tableau[-1][bidx]
-            tableau[-1] = [v - factor * rv for v, rv in zip(tableau[-1], tableau[i])]
-    _simplex(tableau, basis, nvars + nslack)  # artificials stay out
-    x = [Fraction(0)] * nvars
-    for i, bidx in enumerate(basis):
-        if bidx < nvars:
-            x[bidx] = tableau[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return x, value
-
-
-def solve_float(c, a_ub, b_ub, a_eq, b_eq):
+    ``c``, ``b_ub`` and ``b_eq`` are integer lists; ``ub`` and ``eq`` give
+    A_ub and A_eq as integer COO triplets ``(row, col, value)`` (repeated
+    positions add up).  Returns ``(x, value)``: floats, or with ``exact``
+    Fractions whose optimality has been certified.
+    """
     res = linprog(
-        np.asarray(c, dtype=float),
-        A_ub=np.asarray(a_ub, dtype=float) if len(a_ub) else None,
-        b_ub=np.asarray(b_ub, dtype=float) if len(b_ub) else None,
-        A_eq=np.asarray(a_eq, dtype=float) if len(a_eq) else None,
-        b_eq=np.asarray(b_eq, dtype=float) if len(b_eq) else None,
+        c,
+        A_ub=_matrix(ub, len(b_ub), len(c)),
+        b_ub=b_ub or None,
+        A_eq=_matrix(eq, len(b_eq), len(c)),
+        b_eq=b_eq or None,
         bounds=(0, None),
         method="highs",
     )
     if not res.success:
         raise LPError(f"LP solve failed: {res.message}")
-    return res.x, float(res.fun)
+    if not exact:
+        return res.x, float(res.fun)
+    return _certify(c, ub, b_ub, eq, b_eq, res)
 
 
-def minimize_lp(c, a_ub, b_ub, a_eq, b_eq, exact: bool):
-    """Dispatch to the exact rational or float (HiGHS) solver."""
-    if exact:
-        return solve_exact(c, a_ub, b_ub, a_eq, b_eq)
-    return solve_float(c, a_ub, b_ub, a_eq, b_eq)
+def _rationals(values) -> list:
+    return [Fraction(float(v)).limit_denominator(DENOMINATOR_CAP) for v in values]
+
+
+def _product(triplets, vector, nrows: int) -> list:
+    out = [Fraction(0)] * nrows
+    for i, j, a in triplets:
+        if vector[j]:
+            out[i] += a * vector[j]
+    return out
+
+
+def _certify(c, ub, b_ub, eq, b_eq, res):
+    """Round HiGHS's primal point and duals and prove them optimal."""
+    x = _rationals(res.x)
+    y_ub = _rationals(res.ineqlin.marginals)
+    y_eq = _rationals(res.eqlin.marginals)
+    if any(v < 0 for v in x):
+        raise LPError("certificate failed: primal feasibility, x >= 0")
+    if any(lhs > b for lhs, b in zip(_product(ub, x, len(b_ub)), b_ub)):
+        raise LPError("certificate failed: primal feasibility, A_ub x <= b_ub")
+    if any(lhs != b for lhs, b in zip(_product(eq, x, len(b_eq)), b_eq)):
+        raise LPError("certificate failed: primal feasibility, A_eq x == b_eq")
+    if any(v > 0 for v in y_ub):
+        raise LPError("certificate failed: dual feasibility, y_ub <= 0")
+    reduced = [Fraction(v) for v in c]
+    for triplets, y in ((ub, y_ub), (eq, y_eq)):
+        for i, j, a in triplets:
+            if y[i]:
+                reduced[j] -= a * y[i]
+    if any(r < 0 for r in reduced):
+        raise LPError("certificate failed: dual feasibility, c - A_ub^T y_ub - A_eq^T y_eq >= 0")
+    value = sum(ci * xi for ci, xi in zip(c, x) if ci)
+    dual_value = sum(b * y for b, y in zip(b_ub, y_ub)) + sum(b * y for b, y in zip(b_eq, y_eq))
+    if value != dual_value:
+        raise LPError(f"certificate failed: objectives differ, c.x = {value} but b.y = {dual_value}")
+    return x, Fraction(value)

@@ -160,6 +160,14 @@ def _support_radius(space, table) -> float:
     return float(space.dist[supp].max())
 
 
+def _cover_diameter(space, cover) -> float:
+    """Largest diameter of a cover set (0 when every set is a singleton)."""
+    return max(
+        (float(space.dist[np.ix_(sorted(u), sorted(u))].max()) for u in cover if len(u) > 1),
+        default=0.0,
+    )
+
+
 def measure_witness(w, space: FiniteMetricSpace, R_target: float) -> WitnessReport:
     """Exhaustively measured (eps, S, norm deviation) at scale ``R_target``."""
     w.check_space(space)
@@ -203,11 +211,7 @@ def measure_witness(w, space: FiniteMetricSpace, R_target: float) -> WitnessRepo
         cols = w.functions.T
         diffs = cdist(cols, cols, metric="cityblock")
         eps = float(diffs[mask].max()) if mask.any() else 0.0
-        S = 0.0
-        for u in w.cover:
-            idx = sorted(u)
-            if len(idx) > 1:
-                S = max(S, float(space.dist[np.ix_(idx, idx)].max()))
+        S = _cover_diameter(space, w.cover)
         norm_dev = float(np.abs(w.functions.sum(axis=0) - 1.0).max())
     elif isinstance(w, VectorWitness):
         diffs = cdist(w.coords, w.coords)
@@ -289,12 +293,8 @@ def validate_witness(w, space: FiniteMetricSpace, tol: float = NORM_TOL) -> list
             outside = [x for x in range(space.n) if x not in u]
             if outside and np.abs(w.functions[i, outside]).max() > SUPPORT_TOL:
                 bad.append(f"function {i} not subordinate to its cover set")
-        if w.S is not None:
-            for u in w.cover:
-                idx = sorted(u)
-                if len(idx) > 1 and space.dist[np.ix_(idx, idx)].max() > w.S + tol:
-                    bad.append("cover set diameter above declared S")
-                    break
+        if w.S is not None and _cover_diameter(space, w.cover) > w.S + tol:
+            bad.append("cover set diameter above declared S")
     elif isinstance(w, VectorWitness):
         if np.abs(np.linalg.norm(w.coords, axis=1) - 1.0).max() > tol:
             bad.append("non-unit vector")
@@ -506,10 +506,6 @@ def lp_to_partition(w: LpWitness, space) -> PartitionWitness:
     cover = tuple(frozenset(np.nonzero(space.dist[i] <= S + tol)[0].tolist()) for i in range(space.n))
     functions = w.table.T.copy()
     eps_in = _measured_eps(w, space, w.R)
-    diam = max(
-        (float(space.dist[np.ix_(sorted(u), sorted(u))].max()) for u in cover if len(u) > 1),
-        default=0.0,
-    )
     return PartitionWitness(
         cover=cover,
         functions=functions,
@@ -517,7 +513,7 @@ def lp_to_partition(w: LpWitness, space) -> PartitionWitness:
         point_ids=w.point_ids,
         R=w.R,
         eps=eps_in,
-        S=diam,
+        S=_cover_diameter(space, cover),
         meta={"bound": "eps", "support_radius": S},
     )
 
@@ -767,17 +763,13 @@ def lipschitz_partition(space: FiniteMetricSpace, cover, R: float, eps: float) -
         rows[i, outside] = 0.0
     functions = rows / rows.sum(axis=0, keepdims=True)
     lip = (2 * k + 2) * (2 * k + 3) / L
-    diam = max(
-        (float(space.dist[np.ix_(sorted(u), sorted(u))].max()) for u in cover if len(u) > 1),
-        default=0.0,
-    )
     return PartitionWitness(
         cover=tuple(cover),
         functions=functions,
         point_ids=tuple(space.points),
         R=R,
         eps=min(eps, lip * R),
-        S=diam,
+        S=_cover_diameter(space, cover),
         meta={
             "multiplicity": k,
             "lebesgue": L,
@@ -830,10 +822,6 @@ def glue_witness(outer: PartitionWitness, locals_, space: FiniteMetricSpace) -> 
     eps_locals = max(
         (loc.eps if loc.eps is not None else 0.0) for loc in locals_
     )
-    diam = max(
-        (float(space.dist[np.ix_(sorted(u), sorted(u))].max()) for u in cover_out if len(u) > 1),
-        default=0.0,
-    )
     return PartitionWitness(
         cover=tuple(cover_out),
         functions=functions,
@@ -841,7 +829,7 @@ def glue_witness(outer: PartitionWitness, locals_, space: FiniteMetricSpace) -> 
         point_ids=tuple(space.points),
         R=outer.R,
         eps=(outer.eps or 0.0) + eps_locals,
-        S=diam,
+        S=_cover_diameter(space, cover_out),
         meta={"bound": "eps_outer+eps_local"},
     )
 
@@ -865,10 +853,6 @@ def product_witness(wx: PartitionWitness, wy: PartitionWitness, product_space: F
             rows.append(theta)
             cover.append(frozenset(a * ny + b for a in u for b in v))
     functions = np.array(rows)
-    diam = max(
-        (float(product_space.dist[np.ix_(sorted(u), sorted(u))].max()) for u in cover if len(u) > 1),
-        default=0.0,
-    )
     R = min(w.R for w in (wx, wy) if w.R is not None) if (wx.R or wy.R) else None
     return PartitionWitness(
         cover=tuple(cover),
@@ -876,7 +860,7 @@ def product_witness(wx: PartitionWitness, wy: PartitionWitness, product_space: F
         point_ids=tuple(product_space.points),
         R=R,
         eps=(wx.eps or 0.0) + (wy.eps or 0.0),
-        S=diam,
+        S=_cover_diameter(product_space, cover),
         meta={"bound": "eps_x+eps_y"},
     )
 
@@ -956,30 +940,15 @@ def subspace_witness(w: PartitionWitness, space: FiniteMetricSpace, sub_space: F
             continue
         cover.append(pulled)
         rows.append(row)
-    diam = max(
-        (float(sub_space.dist[np.ix_(sorted(u), sorted(u))].max()) for u in cover if len(u) > 1),
-        default=0.0,
-    )
     return PartitionWitness(
         cover=tuple(cover),
         functions=np.array(rows),
         point_ids=tuple(sub_space.points),
         R=w.R,
         eps=w.eps,
-        S=diam,
+        S=_cover_diameter(sub_space, cover),
         meta={"bound": "eps"},
     )
-
-
-def derived_space_witness(mode: str, **kw):
-    """Dispatch for product / union / subspace derived witnesses."""
-    if mode == "product":
-        return product_witness(kw["wx"], kw["wy"], kw["product_space"])
-    if mode == "union":
-        return union_witness(kw["space"], kw["block_witnesses"], kw["L"], kw["R"], kw.get("eps", math.inf))
-    if mode == "subspace":
-        return subspace_witness(kw["w"], kw["space"], kw["sub_space"], kw["inclusion"])
-    raise ValueError(f"unknown derived-witness mode {mode!r}")
 
 
 def ball_witness(space: FiniteMetricSpace, S: float, R: float, p: float = 1.0) -> LpWitness:

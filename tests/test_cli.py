@@ -182,6 +182,15 @@ def test_kernel_bridge_out_writes_numpy_flags(runner, tmp_path):
     assert invoke(runner, ["report", "--in", str(out)]).exit_code == 0
 
 
+
+def test_diam_rejects_nonpositive_eps(runner, tmp_path):
+    # no defect is below eps <= 0: an error line, not an LPError traceback
+    out = tmp_path / "diam.json"
+    res = invoke(runner, ["diam", "--group", "zn", "--n", "4", "--eps", "0", "--out", str(out)])
+    assert res.exit_code == 1
+    assert "error: eps must be positive" in res.output
+    assert not out.exists()
+
 def test_unwritable_report_fails_cleanly_and_leaves_no_file(runner, tmp_path):
     # a zero-scale ball witness converts to a set family with eps = inf,
     # which the canonical writer refuses

@@ -1,14 +1,18 @@
 """Property-based invariants on generated inputs: the chunked subset kernel
-against a plain enumeration, and the Kazhdan primal-dual certificate."""
+against a plain enumeration, the Kazhdan primal-dual certificate, and
+certified LP optima against a rational simplex."""
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from coarselab import spectral as SG
+from coarselab.exactlp import solve_lp
 from coarselab.groups import cyclic_group, dihedral_group, direct_product, z2_power_group
+from lp_oracle import solve_exact
 
 # derandomized: the suite gives the same verdict on every run
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -129,3 +133,39 @@ def test_kazhdan_closed_form_z2_power(k):
     rep = SG.kazhdan_gap(z2_power_group(k), check_expansion=False)
     assert abs(rep.eps - 2.0 / math.sqrt(k)) <= 1e-9
     assert rep.exact
+
+
+# -- certified LP optima against the rational simplex oracle -----------------
+
+
+@st.composite
+def boxed_lps(draw):
+    """Feasible LPs with small integer data, bounded by a box on every
+    variable; feasibility comes from an integer point the rows are built
+    around."""
+    n = draw(st.integers(1, 4))
+    coef = st.integers(-3, 3)
+    point = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    c = draw(st.lists(coef, min_size=n, max_size=n))
+    a_ub = [[int(j == k) for k in range(n)] for j in range(n)]
+    b_ub = [p + draw(st.integers(0, 2)) for p in point]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.lists(coef, min_size=n, max_size=n))
+        a_ub.append(row)
+        b_ub.append(sum(a * p for a, p in zip(row, point)) + draw(st.integers(0, 2)))
+    a_eq = draw(st.lists(st.lists(coef, min_size=n, max_size=n), max_size=2))
+    b_eq = [sum(a * p for a, p in zip(row, point)) for row in a_eq]
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+def _triplets(rows):
+    return [(i, j, a) for i, row in enumerate(rows) for j, a in enumerate(row) if a]
+
+
+@PROPERTY
+@given(lp=boxed_lps())
+def test_certified_lp_value_matches_rational_simplex(lp):
+    c, a_ub, b_ub, a_eq, b_eq = lp
+    x, value = solve_lp(c, _triplets(a_ub), b_ub, _triplets(a_eq), b_eq, exact=True)
+    assert isinstance(value, Fraction) and all(isinstance(v, Fraction) for v in x)
+    assert value == solve_exact(c, a_ub, b_ub, a_eq, b_eq)[1]
