@@ -202,7 +202,8 @@ class DiamTable:
 
 def _defect_below(defect, eps) -> bool:
     if isinstance(defect, Fraction):
-        return defect < Fraction(eps).limit_denominator(10**6)
+        # rounding sends 0 < eps < 5e-7 to 0, a threshold no defect is below
+        return defect < (Fraction(eps).limit_denominator(10**6) or Fraction(eps))
     return float(defect) < eps - 1e-9
 
 

@@ -77,7 +77,9 @@ def main():
 @click.option("--seed", type=int, default=0)
 @click.option("--tol", type=float, default=1e-9)
 @click.option("--out", required=True, type=click.Path())
-def space(action, kind, n, branch, depth, d, n_max, base, k, seed, tol, out):
+@click.option("--graph-out", type=click.Path(), default=None, help="also write the graph (regular graph kinds)")
+@click.option("--kernel-out", type=click.Path(), default=None, help="also write the distances as a normalized kernel")
+def space(action, kind, n, branch, depth, d, n_max, base, k, seed, tol, out, graph_out, kernel_out):
     """Generate a finite metric space."""
     if kind == "cycle":
         sp = SP.cycle_space(n)
@@ -97,7 +99,16 @@ def space(action, kind, n, branch, depth, d, n_max, base, k, seed, tol, out):
         sp = G.box_space(G.QuotientChain(group, subs))
     else:  # nowak
         sp = G.hypercube_space(G.cyclic_group(base), n_max)
+    if graph_out and kind in ("box", "nowak"):
+        _fail(f"--graph-out needs a graph kind, not {kind}")
+    graph = _unit_graph(sp, "the space") if graph_out else None
     _write_space(sp, out, tol)
+    if graph_out:
+        _dump(io.graph_to_doc(graph), graph_out)
+        click.echo(f"wrote graph ({graph.n} vertices, degree {graph.degree}) to {graph_out}")
+    if kernel_out:
+        _dump(io.kernel_to_doc(sp.dist, normalized=True), kernel_out)
+        click.echo(f"wrote distance kernel ({sp.n} points) to {kernel_out}")
 
 
 # -- group ---------------------------------------------------------------------
@@ -305,7 +316,7 @@ def spectral(action, inp, group_kind, n, mode, samples, seed, tol, out, csv_path
             "n": n,
             "eps": rep.eps,
             "certified_lower": rep.cert_lower,
-            "weights": rep.weights.tolist(),
+            "weights": rep.weights,
             "exact": rep.exact,
             "expansion_ok": rep.expansion_ok,
             "lambda": rep.lam,
@@ -326,7 +337,7 @@ def spectral(action, inp, group_kind, n, mode, samples, seed, tol, out, csv_path
             "schema": io.SCHEMA,
             "kind": "spectral-report",
             "lambda": rep.lam,
-            "spectrum": rep.spectrum.tolist(),
+            "spectrum": rep.spectrum,
             "tolerance": tol,
         }
         if out:
@@ -500,12 +511,16 @@ def _flags(doc, keys) -> list:
     return [f"{key} is not a boolean" for key in keys if not isinstance(doc.get(key), bool)]
 
 
-def _space_graph(space_path) -> SG.RegularGraph:
-    sp = io.space_from_doc(_load(space_path))
+def _unit_graph(sp, what) -> SG.RegularGraph:
+    """The graph of unit-distance pairs, which must be regular and connected."""
     try:
         return SG.RegularGraph((np.abs(sp.dist - 1.0) <= 1e-9).astype(int))
     except ValueError as exc:
-        _fail(f"--space is not a regular graph metric: {exc}")
+        _fail(f"{what} is not a regular graph metric: {exc}")
+
+
+def _space_graph(space_path) -> SG.RegularGraph:
+    return _unit_graph(io.space_from_doc(_load(space_path)), "--space")
 
 
 def _check_witness_report(doc, _space_path, _tol) -> list:

@@ -2,7 +2,8 @@
 
 All documents carry ``"schema": "coarselab/1"``.  Floats are emitted with 17
 significant digits (round-trip exact), keys are sorted, so identical values
-always produce identical bytes.
+always produce identical bytes.  Arrays are written in bulk, row by row, with
+the same bytes as their ``.tolist()``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import os
 import numpy as np
 
 from .spaces import FiniteMetricSpace, CompressionProfile
-from .groups import FiniteGroup, GroupAction
+from .groups import FiniteGroup
 from .spectral import RegularGraph
-from .amenability import FolnerFunction, DiamTable
+from .amenability import DiamTable
 from . import witnesses as W
 
 SCHEMA = "coarselab/1"
@@ -36,14 +37,24 @@ def _canon(value):
         return "null"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        f = float(value)
-        if math.isinf(f) or math.isnan(f):
+    if isinstance(value, np.ndarray) and value.dtype.kind in "biu":
+        return json.dumps(value.tolist(), separators=(",", ":"))
+    if isinstance(value, (float, np.floating)) or isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        a = np.asarray(value, dtype=float)
+        if not np.isfinite(a).all():
             raise ValueError("non-finite float in canonical output")
-        if f == int(f) and abs(f) < 1e15:
-            return f"{f:.1f}"
-        return f"{f:.17g}"
+        return _float_text(a)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _float_text(a: np.ndarray) -> str:
+    # integral values below 1e15 as ".1f" (which keeps -0.0), all others as ".17g"
+    if a.ndim > 1:
+        return "[" + ",".join(map(_float_text, a)) + "]"
+    row = np.atleast_1d(a)
+    whole = (row == np.trunc(row)) & (np.abs(row) < 1e15)
+    text = ",".join(["%.1f" if w else "%.17g" for w in whole.tolist()]) % tuple(row.tolist())
+    return text if a.ndim == 0 else "[" + text + "]"
 
 
 def dumps(obj) -> str:
@@ -101,7 +112,7 @@ def space_to_doc(space: FiniteMetricSpace) -> dict:
         "schema": SCHEMA,
         "kind": "space",
         "points": [_point_id(p) for p in space.points],
-        "dist": space.dist.tolist(),
+        "dist": space.dist,
     }
     if space.blocks is not None:
         doc["blocks"] = list(space.blocks)
@@ -117,7 +128,7 @@ def space_from_doc(doc: dict) -> FiniteMetricSpace:
     )
 
 
-# -- groups / actions / graphs ------------------------------------------------
+# -- groups / graphs ---------------------------------------------------------
 
 
 def group_to_doc(group: FiniteGroup) -> dict:
@@ -125,9 +136,9 @@ def group_to_doc(group: FiniteGroup) -> dict:
         "schema": SCHEMA,
         "kind": "group",
         "elements": [_point_id(e) for e in group.elements],
-        "table": group.table.tolist(),
+        "table": group.table,
         "generators": list(group.generators),
-        "lengths": [float(v) for v in group.lengths],
+        "lengths": np.asarray(group.lengths, dtype=float),
     }
 
 
@@ -145,30 +156,13 @@ def group_from_doc(doc: dict) -> FiniteGroup:
     return group
 
 
-def action_to_doc(action: GroupAction) -> dict:
+def graph_to_doc(graph: RegularGraph) -> dict:
     return {
         "schema": SCHEMA,
-        "kind": "action",
-        "permutations": {str(g): action.permutations[g].tolist() for g in range(action.group.n)},
-    }
-
-
-def action_from_doc(doc: dict, group: FiniteGroup, space: FiniteMetricSpace) -> GroupAction:
-    _expect_schema(doc, "action")
-    perms = np.array([doc["permutations"][str(g)] for g in range(group.n)], dtype=int)
-    return GroupAction(group, space, perms)
-
-
-def graph_to_doc(graph: RegularGraph, colors=None) -> dict:
-    doc = {
-        "schema": SCHEMA,
         "kind": "graph",
-        "adjacency": graph.adjacency.tolist(),
+        "adjacency": graph.adjacency,
         "degree": graph.degree,
     }
-    if colors is not None:
-        doc["colors"] = colors
-    return doc
 
 
 def graph_from_doc(doc: dict) -> RegularGraph:
@@ -193,23 +187,23 @@ def witness_to_doc(w) -> dict:
     elif isinstance(w, W.TailWitness):
         params.update({"p": w.p, "delta": w.delta})
         data = {
-            "table": w.table.tolist(),
+            "table": w.table,
             "S_tail": w.S_tail,
             "delta_requested": w.delta_requested,
         }
     elif isinstance(w, W.LpWitness):
         params["p"] = w.p
-        data = {"table": w.table.tolist()}
+        data = {"table": w.table}
     elif isinstance(w, W.PartitionWitness):
         data = {
             "cover": [sorted(int(x) for x in u) for u in w.cover],
-            "functions": w.functions.tolist(),
+            "functions": w.functions,
             "basepoints": list(w.basepoints) if w.basepoints is not None else None,
         }
     elif isinstance(w, W.VectorWitness):
-        data = {"coords": w.coords.tolist()}
+        data = {"coords": w.coords}
     elif isinstance(w, W.KernelWitness):
-        data = {"matrix": w.matrix.tolist(), "normalized": w.normalized}
+        data = {"matrix": w.matrix, "normalized": w.normalized}
     else:
         raise TypeError(f"unknown witness type {type(w).__name__}")
     return {
@@ -277,12 +271,12 @@ def report_to_doc(rep: W.WitnessReport, tol: float) -> dict:
     }
 
 
-# -- kernels / folner ----------------------------------------------------------
+# -- kernels -----------------------------------------------------------------
 
 
 def kernel_to_doc(kernel, propagation=None, normalized=None) -> dict:
     mat = np.asarray(getattr(kernel, "matrix", kernel), dtype=float)
-    doc = {"schema": SCHEMA, "kind": "kernel", "matrix": mat.tolist()}
+    doc = {"schema": SCHEMA, "kind": "kernel", "matrix": mat}
     prop = propagation if propagation is not None else getattr(kernel, "propagation", None)
     norm = normalized if normalized is not None else getattr(kernel, "normalized", None)
     if prop is not None:
@@ -301,16 +295,6 @@ def kernel_from_doc(doc: dict):
         normalized=doc.get("normalized"),
         propagation=doc.get("propagation"),
     )
-
-
-def folner_to_doc(f: FolnerFunction, group_name: str = "group") -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "folner",
-        "group": group_name,
-        "values": {str(g): float(v) for g, v in enumerate(f.values)},
-        "S": f.S,
-    }
 
 
 # -- CSV exports ---------------------------------------------------------------

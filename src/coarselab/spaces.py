@@ -8,7 +8,6 @@ and every operation here is a pure function.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +33,9 @@ class FiniteMetricSpace:
         self.points = list(points)
         self.dist = np.asarray(dist, dtype=float)
         self.blocks = list(blocks) if blocks is not None else None
+        self.is_integer = bool(np.all(self.dist == np.round(self.dist)))
         if not _skip_checks:
             self._validate()
-        self.is_integer = bool(np.all(self.dist == np.round(self.dist)))
         self._index = {p: i for i, p in enumerate(self.points)}
         self.dist.setflags(write=False)
 
@@ -55,9 +54,13 @@ class FiniteMetricSpace:
         if n > 1 and off.min() <= tol:
             i, j = np.unravel_index(np.argmin(off), off.shape)
             raise ValueError(f"non-positive distance between distinct points {self.points[i]} and {self.points[j]}")
-        # triangle inequality, vectorized over the middle point
+        # triangle inequality, vectorized over the middle point; in int16 when
+        # every entry is an integer below 2**14: sums cannot overflow, and as
+        # tol < 1, slack < -tol is the same test as slack <= -1
+        small = self.is_integer and self.dist.max(initial=0.0) < 2**14
+        dist = self.dist.astype(np.int16) if small else self.dist
         for k in range(n):
-            slack = self.dist[:, k][:, None] + self.dist[k, :][None, :] - self.dist
+            slack = dist[:, k][:, None] + dist[k, :][None, :] - dist
             if slack.min() < -tol:
                 i, j = np.unravel_index(np.argmin(slack), slack.shape)
                 raise ValueError(
@@ -108,12 +111,14 @@ class PointMap:
     assignment: object
     p: float = 2.0
 
-    def image_distance(self, i: int, j: int) -> float:
+    def image_distances(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Image distances of the source index pairs (i[k], j[k])."""
         if isinstance(self.target, FiniteMetricSpace):
-            return float(self.target.dist[self.assignment[i], self.assignment[j]])
-        coords = np.asarray(self.assignment, dtype=float)
-        diff = coords[i] - coords[j]
-        return float(np.linalg.norm(diff, ord=self.p if self.p != 2.0 else None))
+            idx = np.asarray(self.assignment, dtype=int)
+            return self.target.dist[idx[i], idx[j]]
+        from scipy.spatial.distance import pdist, squareform
+
+        return squareform(pdist(np.asarray(self.assignment, dtype=float), "minkowski", p=self.p))[i, j]
 
     def __post_init__(self):
         n = self.source.n
@@ -172,27 +177,19 @@ def graph_metric(adjacency) -> FiniteMetricSpace:
     The adjacency matrix must be symmetric 0/1 with zero diagonal and the
     graph connected; the result is exact integer valued.
     """
+    from scipy.sparse.csgraph import shortest_path
+
     adj = np.asarray(adjacency)
     n = adj.shape[0]
     if adj.shape != (n, n) or np.any(adj != adj.T) or np.any(np.diag(adj) != 0):
         raise ValueError("adjacency must be symmetric with zero diagonal")
     if not np.all((adj == 0) | (adj == 1)):
         raise ValueError("adjacency entries must be 0 or 1")
-    nbrs = [np.nonzero(adj[i])[0] for i in range(n)]
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for src in range(n):
-        dist[src, src] = 0
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for w in nbrs[v]:
-                if dist[src, w] < 0:
-                    dist[src, w] = dist[src, v] + 1
-                    queue.append(w)
-    if np.any(dist < 0):
-        src, dst = map(int, np.argwhere(dist < 0)[0])
+    dist = shortest_path(adj, unweighted=True, directed=False)
+    if np.isinf(dist).any():
+        src, dst = map(int, np.argwhere(np.isinf(dist))[0])
         raise ValueError(f"graph is disconnected: no path from point {src} to point {dst}")
-    return FiniteMetricSpace(list(range(n)), dist.astype(float), _skip_checks=True)
+    return FiniteMetricSpace(list(range(n)), dist, _skip_checks=True)
 
 
 def lp_product(x: FiniteMetricSpace, y: FiniteMetricSpace, p) -> FiniteMetricSpace:
@@ -293,19 +290,18 @@ def compression_profile(pmap: PointMap, bin_width: float = 1.0, pairs: str = "al
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
     src = pmap.source
-    per_bin: dict[int, list[float]] = {}
-    for i in range(src.n):
-        for j in range(i + 1, src.n):
-            if pairs != "all" and src.blocks is not None:
-                same = src.blocks[i] == src.blocks[j]
-                if (pairs == "within") != same:
-                    continue
-            b = int(src.dist[i, j] // bin_width)
-            per_bin.setdefault(b, []).append(pmap.image_distance(i, j))
-    keys = sorted(per_bin)
-    bins = [(k * bin_width, (k + 1) * bin_width) for k in keys]
-    rho1 = np.array([min(per_bin[k]) for k in keys])
-    rho2 = np.array([max(per_bin[k]) for k in keys])
+    i, j = np.triu_indices(src.n, 1)
+    if pairs != "all" and src.blocks is not None:
+        label = np.array([src.blocks.index(b) for b in src.blocks])  # equal labels, equal codes
+        keep = (label[i] == label[j]) == (pairs == "within")
+        i, j = i[keep], j[keep]
+    keys, which = np.unique((src.dist[i, j] // bin_width).astype(int), return_inverse=True)
+    image = pmap.image_distances(i, j)
+    rho1 = np.full(len(keys), np.inf)
+    rho2 = np.full(len(keys), -np.inf)
+    np.minimum.at(rho1, which, image)
+    np.maximum.at(rho2, which, image)
+    bins = [(k * bin_width, (k + 1) * bin_width) for k in keys.tolist()]
     return CompressionProfile(bins=bins, rho1=rho1, rho2=rho2)
 
 

@@ -191,6 +191,33 @@ def test_diam_rejects_nonpositive_eps(runner, tmp_path):
     assert "error: eps must be positive" in res.output
     assert not out.exists()
 
+
+def test_diam_exact_below_the_rounding_grain(runner):
+    # limit_denominator(10**6) rounds eps = 1e-7 to 0; the exact path must
+    # still find the S that the float path finds
+    answers = [invoke(runner, ["diam", "--group", "zn", "--n", "4", "--eps", "1e-7", flag])
+               for flag in ("--exact", "--no-exact")]
+    for res in answers:
+        assert res.exit_code == 0, res.output
+    assert "S=2 (defect 0)" in answers[0].output
+    assert answers[0].output == answers[1].output
+
+
+def test_space_gen_writes_graph_and_kernel_documents(runner, tmp_path):
+    res = invoke(runner, ["space", "gen", "--kind", "cycle", "--n", "8", "--out", str(tmp_path / "c8.json"),
+                          "--graph-out", str(tmp_path / "g.json"), "--kernel-out", str(tmp_path / "k.json")])
+    assert res.exit_code == 0, res.output
+    dist = cycle_space(8).dist
+    assert (tmp_path / "k.json").read_text() == io.dumps(io.kernel_to_doc(dist, normalized=True)) + "\n"
+    graph = io.graph_from_doc(io.load(tmp_path / "g.json"))
+    assert graph.degree == 2 and np.array_equal(graph.metric_space().dist, dist)
+    # a kind without a regular graph: an error line and no file at all
+    for kind in ("path", "box"):
+        res = invoke(runner, ["space", "gen", "--kind", kind, "--n", "5", "--out", str(tmp_path / f"{kind}.json"),
+                              "--graph-out", str(tmp_path / f"{kind}.g.json")])
+        assert res.exit_code == 1 and "error:" in res.output
+        assert not (tmp_path / f"{kind}.json").exists() and not (tmp_path / f"{kind}.g.json").exists()
+
 def test_unwritable_report_fails_cleanly_and_leaves_no_file(runner, tmp_path):
     # a zero-scale ball witness converts to a set family with eps = inf,
     # which the canonical writer refuses

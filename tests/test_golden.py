@@ -1,0 +1,79 @@
+"""The byte format across versions: sha256 of the CLI's JSON output on a
+fixed input, pinned to the bytes an earlier release of the writer produced
+(scalar, one value at a time).  A change to the canonical writer, a
+document layout or a computed value changes a hash here."""
+
+import hashlib
+
+from click.testing import CliRunner
+
+from coarselab import serialize as io
+from coarselab.cli import main
+from coarselab.spaces import cycle_space
+from coarselab.spectral import RegularGraph
+
+# (output stem, input stem, target form, extra arguments)
+CONVERSIONS = [
+    ("af", "w", "a-family", []),
+    ("lp1", "af", "lp", []),
+    ("lp2", "lp1", "lp", ["--p", "2"]),
+    ("tail", "lp1", "tail", []),
+    ("part", "lp1", "partition", []),
+    ("vec", "lp2", "vector", []),
+    ("ker", "vec", "kernel", []),
+]
+
+# generated by artifacts() from the scalar writer, before arrays were written in bulk
+GOLDEN = {
+    "af.json": "86eeeb2cf58795bec7c1794428d7ae452796726cccb686799d639d6d4887f591",
+    "af.rep.json": "71cf8143c204a874becdaf185ddb6c061e8e3bbde35befd454f5790b7b29c142",
+    "c8.json": "5b79ee1a76671dba2abc65b6d7f67a533d3e9c261e0a42cee8594ea8b20555d6",
+    "graph.json": "1c8593f70cef0ea93533ea90019096a7103e260277065f2e3d4f014ebb7b279a",
+    "k.json": "593fac90a4db9e8c0de046b273d8aad7678a8ce1be69a65df5f2a019d8d76277",
+    "ker.json": "cd1e038a54335be6cbf94c086679c5e64e8ac9c96758c9c4c5855c8c2ea8cb95",
+    "ker.rep.json": "3d4cf7449a54c264dea84ef33f0bd99344be3054d2b19b4f53bb71729471ad8d",
+    "kexp.json": "88bfd0bdacf2a8508c72158ffdec1ebe99a0a5c3079fa9cbc5ed500f3d8aebbb",
+    "lp1.json": "12e2c8e937e53eeb0e3672bfa7d83c5dde93a904e04116e7ba3864fcb4179224",
+    "lp1.rep.json": "dffc3a5bef7282e55d4a211e5e98499893d137ec4f5b1729ed3446750a5e342b",
+    "lp2.json": "7d872e115990a3bdf321604144d3112ba3500ce5e6f38407adcce99b7c78d97f",
+    "lp2.rep.json": "82a4fb8ccdbdff8a8bb8563dbdaa5961dcfa639f6d4dfda7cf48c012bb510a2a",
+    "part.json": "93971a4ff5a0cccb9eea56a77582ba31b0c8c3b8e7ccbb76650321bfcd28ae10",
+    "part.rep.json": "bec09abdf594d62729b3d5c7147ed09198c130ed45641028630476b71ccfc5e9",
+    "spec.csv": "338dcc7dc0f5a6d7497d5f545c62c843102236181cdde633da458d570657c45a",
+    "spec.json": "4caf7ec363eda8c2c40448b8da194ca4265952130c0e9ef94c08263296cf60f7",
+    "tail.json": "41500f34e02eca7342514800c55d5aa2d1200579a2cedc2752c2723be40b95fc",
+    "tail.rep.json": "87dd36cb4b8573036d76cec5847c0e505d7000f94b3ef75987cb0a531ca98c9f",
+    "vec.json": "e20cd67308adf67924adaee7813093e3c7426a0c8a1d62cbfbd3e108c02bedfd",
+    "vec.rep.json": "9d00baf1bad12176db344abe54148c1318cb375979d3cd09cdb509bbe73fcd0f",
+    "w.json": "3a487f1e9c18af4231e36e847fbf6d4cabc5856bdddaf49a6f5c58175e5c7037",
+    "w.rep.json": "dffc3a5bef7282e55d4a211e5e98499893d137ec4f5b1729ed3446750a5e342b",
+}
+
+
+def artifacts(tmp_path) -> dict:
+    """Run the pinned commands in ``tmp_path``; sha256 of every file written."""
+    runner = CliRunner()
+
+    def run(*args):
+        res = runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+
+    P = tmp_path
+    run("space", "gen", "--kind", "cycle", "--n", 8, "--out", P / "c8.json")
+    run("witness", "build", "--space", P / "c8.json", "--kind", "ball", "--s", 2, "--r", 1,
+        "--out", P / "w.json", "--report", P / "w.rep.json")
+    for stem, src, form, extra in CONVERSIONS:
+        run("witness", "convert", "--in", P / f"{src}.json", "--space", P / "c8.json", "--to", form, *extra,
+            "--out", P / f"{stem}.json", "--report", P / f"{stem}.rep.json")
+    # kernel and graph inputs written by the library, which every release has
+    dist = cycle_space(8).dist
+    io.dump(io.kernel_to_doc(dist, normalized=True), P / "k.json")
+    io.dump(io.graph_to_doc(RegularGraph((dist == 1).astype(int))), P / "graph.json")
+    run("kernel", "transform", "--in", P / "k.json", "--op", "exp", "--t", 1, "--out", P / "kexp.json")
+    run("spectral", "report", "--in", P / "graph.json", "--out", P / "spec.json", "--csv", P / "spec.csv")
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(P.iterdir())}
+
+
+def test_cli_output_bytes_match_pinned_hashes(tmp_path):
+    assert artifacts(tmp_path) == GOLDEN
+

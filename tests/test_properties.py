@@ -1,17 +1,23 @@
 """Property-based invariants on generated inputs: the chunked subset kernel
-against a plain enumeration, the Kazhdan primal-dual certificate, and
-certified LP optima against a rational simplex."""
+against a plain enumeration, the Kazhdan primal-dual certificate, certified
+LP optima against a rational simplex, and the vectorised writer, graph
+metric, compression profile and triangle check against their loops."""
 
 import math
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from coarselab import serialize
 from coarselab import spectral as SG
 from coarselab.exactlp import solve_lp
 from coarselab.groups import cyclic_group, dihedral_group, direct_product, z2_power_group
+from coarselab.spaces import FiniteMetricSpace, PointMap, compression_profile, graph_metric
+import loop_oracles as oracle
 from lp_oracle import solve_exact
 
 # derandomized: the suite gives the same verdict on every run
@@ -63,8 +69,8 @@ def _reference(adj, mode, samples=None, seed=0):
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(2, 10))
+def graphs(draw, max_n=10):
+    n = draw(st.integers(2, max_n))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     adj = np.zeros((n, n), dtype=int)
@@ -169,3 +175,132 @@ def test_certified_lp_value_matches_rational_simplex(lp):
     x, value = solve_lp(c, _triplets(a_ub), b_ub, _triplets(a_eq), b_eq, exact=True)
     assert isinstance(value, Fraction) and all(isinstance(v, Fraction) for v in x)
     assert value == solve_exact(c, a_ub, b_ub, a_eq, b_eq)[1]
+
+
+# -- the array writer against the scalar one on .tolist() --------------------
+
+# all-integral arrays of their own: random floats would rarely give one
+whole_floats = st.one_of(st.sampled_from([0.0, -0.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15]),
+                         st.integers(-2**53, 2**53).map(float))
+floats_ = st.one_of(whole_floats, st.sampled_from([5e-324, -2.5e-310, 1e300, -1e300, 0.5]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+arrays = st.one_of(
+    hnp.arrays(np.float64, shapes, elements=whole_floats),
+    hnp.arrays(np.float64, shapes, elements=floats_),
+    hnp.arrays(np.float32, shapes, elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+    hnp.arrays(st.sampled_from([np.int64, np.int16, np.uint8]), shapes),
+    hnp.arrays(np.bool_, shapes),
+)
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats_, st.text(max_size=3))
+documents = st.recursive(
+    st.one_of(scalars, arrays),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+def _as_lists(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _as_lists(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_lists(v) for v in value]
+    return value
+
+
+@PROPERTY
+@given(doc=documents)
+def test_array_writer_matches_scalar_writer(doc):
+    assert serialize.dumps(doc) == oracle.canon(_as_lists(doc))
+
+
+@PROPERTY
+@given(doc=documents, bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+def test_non_finite_array_raises_and_dump_leaves_no_file(doc, bad, data, tmp_path_factory):
+    arr = data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=4),
+                               elements=floats_))
+    arr.flat[data.draw(st.integers(0, arr.size - 1))] = bad
+    mixed = {"before": doc, "array": arr}
+    with pytest.raises(ValueError, match="non-finite float"):
+        oracle.canon(_as_lists(mixed))
+    with pytest.raises(ValueError, match="non-finite float"):
+        serialize.dumps(mixed)
+    out = tmp_path_factory.mktemp("dump")
+    with pytest.raises(ValueError, match="non-finite float"):
+        serialize.dump(mixed, out / "doc.json")
+    assert list(out.iterdir()) == []
+
+
+# -- graph metrics against BFS -----------------------------------------------
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(adj=graphs(max_n=12))
+def test_graph_metric_matches_bfs(adj):
+    got = _outcome(lambda a: graph_metric(a).dist, adj)
+    want = _outcome(oracle.bfs_metric, adj)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+# -- compression profiles against the pair loop ------------------------------
+
+
+@st.composite
+def point_maps(draw):
+    adj = draw(graphs(max_n=9).filter(lambda a: SG._is_connected(a)))
+    n = adj.shape[0]
+    source = graph_metric(adj)
+    source = FiniteMetricSpace(source.points, source.dist * draw(st.sampled_from([1.0, 0.7, 2.5])),
+                               blocks=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        target = graph_metric(draw(graphs(max_n=6).filter(lambda a: SG._is_connected(a))))
+        return PointMap(source, target, draw(st.lists(st.integers(0, target.n - 1), min_size=n, max_size=n)))
+    dim = draw(st.integers(1, 4))
+    coords = draw(hnp.arrays(np.float64, (n, dim), elements=st.floats(-100, 100)))
+    return PointMap(source, None, coords, p=draw(st.sampled_from([2.0, 1.0, np.inf, 3.0, 1.5])))
+
+
+@PROPERTY
+@given(pmap=point_maps(), bin_width=st.sampled_from([1.0, 0.5, 1.5, 3.0]),
+       pairs=st.sampled_from(["all", "within", "across"]))
+def test_compression_profile_matches_pair_loop(pmap, bin_width, pairs):
+    prof = compression_profile(pmap, bin_width=bin_width, pairs=pairs)
+    bins, rho1, rho2 = oracle.pair_profile(pmap, bin_width=bin_width, pairs=pairs)
+    assert prof.bins == bins
+    # a vectorised norm sums in another order than the per-pair norm
+    np.testing.assert_array_max_ulp(prof.rho1, rho1, maxulp=4)
+    np.testing.assert_array_max_ulp(prof.rho2, rho2, maxulp=4)
+
+
+# -- the int16 triangle check against the float64 one ------------------------
+
+
+@PROPERTY
+@given(adj=graphs(max_n=12).filter(lambda a: SG._is_connected(a)), scale=st.sampled_from([1, 7, 2000, 8191, 9000]),
+       data=st.data())
+def test_integer_triangle_check_matches_float64(adj, scale, data):
+    dist = graph_metric(adj).dist * scale
+    n = dist.shape[0]
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    k = data.draw(st.integers(0, n - 1))
+    # plant a distance longer than the path through k, or shorter
+    planted = dist[i, k] + dist[k, j] + data.draw(st.integers(0, 3)) if data.draw(st.booleans()) \
+        else data.draw(st.integers(1, int(dist[i, j])))
+    dist[i, j] = dist[j, i] = planted
+    points = list(range(n))
+    want = oracle.triangle_error(points, dist)
+    got = _outcome(FiniteMetricSpace, points, dist)
+    assert (got if isinstance(got, str) else None) == want
