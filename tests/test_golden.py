@@ -48,6 +48,15 @@ GOLDEN = {
     "w.json": "3a487f1e9c18af4231e36e847fbf6d4cabc5856bdddaf49a6f5c58175e5c7037",
     "w.rep.json": "dffc3a5bef7282e55d4a211e5e98499893d137ec4f5b1729ed3446750a5e342b",
 }
+# generated by artifacts() before the report layouts moved from the CLI into serialize
+GOLDEN.update({
+    "bridge.json": "118a39c22f26443ce09a4a31e09bc59558a8962dd699cd5b8cbf4490a1cd1eaa",
+    "diam.json": "08d95ce874b80f612bf3109c8be07b23c974d2df9a9fc4c4994982f331709975",
+    "exp.json": "bd42af418c2432f38a9d933facc5706c588f0146635dabe762a4f38c55598533",
+    "exps.json": "d95df9b15ece59b59fa22a7e76b7dd99fddce5e7c2ad339280be2a032c6cd2ef",
+    "kaz.json": "a20560a36e278443fb94210ca7b394c6cd8870f2abd89234a78639625d752965",
+    "kclass.json": "3e645eac45a8b7738d375098e4a040518cf4c86dc56d8b678e1a7c99a719b64c",
+})
 
 
 def artifacts(tmp_path) -> dict:
@@ -71,6 +80,13 @@ def artifacts(tmp_path) -> dict:
     io.dump(io.graph_to_doc(RegularGraph((dist == 1).astype(int))), P / "graph.json")
     run("kernel", "transform", "--in", P / "k.json", "--op", "exp", "--t", 1, "--out", P / "kexp.json")
     run("spectral", "report", "--in", P / "graph.json", "--out", P / "spec.json", "--csv", P / "spec.csv")
+    run("kernel", "classify", "--in", P / "k.json", "--out", P / "kclass.json")
+    run("kernel", "bridge", "--in", P / "kexp.json", "--space", P / "c8.json", "--out", P / "bridge.json")
+    run("spectral", "expansion", "--in", P / "graph.json", "--out", P / "exp.json")
+    run("spectral", "expansion", "--in", P / "graph.json", "--mode", "sampled", "--samples", 40, "--seed", 5,
+        "--out", P / "exps.json")
+    run("spectral", "kazhdan", "--group", "dihedral", "--n", 4, "--out", P / "kaz.json")
+    run("diam", "--group", "zn", "--n", 4, "--r", 1, "--r", 2, "--eps", 0.5, "--eps", 0.25, "--out", P / "diam.json")
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(P.iterdir())}
 
 
