@@ -199,12 +199,25 @@ class DiamTable:
             ok &= all(a <= b for a, b in zip(vals, vals[1:]))
         return ok
 
+    def invariants(self, tol: float) -> list:
+        """Every cell's defect below its eps, and S monotone."""
+        bad = []
+        for i, ((r, eps), s) in enumerate(sorted(self.entries.items())):
+            defect = self.defects[(r, eps, s)]
+            if not defect < eps + tol:
+                bad.append(f"entry {i}: optimal defect {defect!r} is not below eps {eps!r}")
+        if not bad and not self.monotone():
+            bad.append("S is not monotone in R and eps")
+        return bad
+
 
 def _defect_below(defect, eps) -> bool:
     if isinstance(defect, Fraction):
         # rounding sends 0 < eps < 5e-7 to 0, a threshold no defect is below
         return defect < (Fraction(eps).limit_denominator(10**6) or Fraction(eps))
-    return float(defect) < eps - 1e-9
+    # a 1e-9 margin against LP noise, shrunk to eps / 2 below eps = 2e-9 so
+    # that a zero defect still passes
+    return float(defect) < eps - min(1e-9, eps / 2)
 
 
 def diam_table(target, R_grid, eps_grid, form: str, exact: bool | None = None) -> DiamTable:

@@ -9,8 +9,8 @@ fails.
 
 from __future__ import annotations
 
-import math
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -24,7 +24,7 @@ from . import groups as G
 from . import amenability as A
 
 
-FORMS = ("a-family", "lp", "tail", "partition", "vector", "kernel")
+GROUPS = click.Choice(list(G.NAMED_GROUPS))
 
 
 def _fail(message: str):
@@ -32,18 +32,28 @@ def _fail(message: str):
     sys.exit(1)
 
 
-def _dump(doc, path):
+def _dump(obj, path):
+    """Write the document of a library object."""
     try:
-        io.dump(doc, path)
+        io.dump(io.write(obj), path)
     except (ValueError, TypeError) as exc:
         _fail(f"cannot write {path}: {exc}")
 
 
-def _load(path) -> dict:
+def _load(path, kind=None):
+    """The library object of the document at ``path`` (of ``kind`` when
+    given); an unreadable or malformed document is an error line."""
     try:
-        return io.load(path)
-    except ValueError as exc:
+        return io.read(io.load(path), kind)
+    except (OSError, ValueError) as exc:
         _fail(f"cannot read {path}: {exc}")
+
+
+def _named_group(kind: str, n: int) -> G.FiniteGroup:
+    try:
+        return G.NAMED_GROUPS[kind](n)
+    except ValueError as exc:
+        _fail(f"cannot build {kind}({n}): {exc}")
 
 
 def _write_space(space, out, tol):
@@ -51,7 +61,7 @@ def _write_space(space, out, tol):
         SP.FiniteMetricSpace(space.points, space.dist, blocks=space.blocks)
     except ValueError as exc:
         _fail(f"output space failed invariant re-check: {exc}")
-    _dump(io.space_to_doc(space), out)
+    _dump(space, out)
     click.echo(f"wrote space ({space.n} points, tol {tol}) to {out}")
 
 
@@ -104,10 +114,10 @@ def space(action, kind, n, branch, depth, d, n_max, base, k, seed, tol, out, gra
     graph = _unit_graph(sp, "the space") if graph_out else None
     _write_space(sp, out, tol)
     if graph_out:
-        _dump(io.graph_to_doc(graph), graph_out)
+        _dump(graph, graph_out)
         click.echo(f"wrote graph ({graph.n} vertices, degree {graph.degree}) to {graph_out}")
     if kernel_out:
-        _dump(io.kernel_to_doc(sp.dist, normalized=True), kernel_out)
+        _dump(K.Kernel(matrix=sp.dist, normalized=True), kernel_out)
         click.echo(f"wrote distance kernel ({sp.n} points) to {kernel_out}")
 
 
@@ -116,29 +126,14 @@ def space(action, kind, n, branch, depth, d, n_max, base, k, seed, tol, out, gra
 
 @main.command()
 @click.argument("action", type=click.Choice(["gen"]), default="gen")
-@click.option("--kind", required=True, type=click.Choice(["zn", "z2pow", "dihedral"]))
+@click.option("--kind", required=True, type=GROUPS)
 @click.option("--n", required=True, type=int)
 @click.option("--out", required=True, type=click.Path())
 def group(action, kind, n, out):
     """Generate a finite group with its word-length data."""
-    if kind == "zn":
-        g = G.cyclic_group(n)
-    elif kind == "z2pow":
-        g = G.z2_power_group(n)
-    else:
-        g = G.dihedral_group(n)
-    _dump(io.group_to_doc(g), out)
+    g = _named_group(kind, n)
+    _dump(g, out)
     click.echo(f"wrote group ({g.n} elements) to {out}")
-
-
-def _named_group(kind: str, n: int) -> G.FiniteGroup:
-    if kind == "zn":
-        return G.cyclic_group(n)
-    if kind == "z2pow":
-        return G.z2_power_group(n)
-    if kind == "dihedral":
-        return G.dihedral_group(n)
-    raise click.BadParameter(f"unknown group kind {kind!r}")
 
 
 # -- witness -------------------------------------------------------------------
@@ -150,7 +145,7 @@ def _named_group(kind: str, n: int) -> G.FiniteGroup:
 @click.option("--space", "space_path", required=True, type=click.Path(exists=True))
 @click.option("--kind", type=click.Choice(["ball", "tree"]), default="ball")
 @click.option("--to", "target", default=None,
-              type=click.Choice(FORMS))
+              type=click.Choice(W.FORMS))
 @click.option("--r", type=float, default=1.0)
 @click.option("--eps", type=float, default=0.5)
 @click.option("--s", type=float, default=1.0)
@@ -164,7 +159,7 @@ def _named_group(kind: str, n: int) -> G.FiniteGroup:
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def witness(action, inp, space_path, kind, target, r, eps, s, ray, p, m_quant, delta, truncate, tol, out, report_path):
     """Build, convert, or measure certificates."""
-    sp = io.space_from_doc(_load(space_path))
+    sp = _load(space_path, "space")
     if action == "build":
         if kind == "ball":
             w = W.ball_witness(sp, s, r)
@@ -175,7 +170,7 @@ def witness(action, inp, space_path, kind, target, r, eps, s, ray, p, m_quant, d
     else:
         if inp is None:
             _fail("--in is required")
-        w = io.witness_from_doc(_load(inp))
+        w = _load(inp, "witness")
         if action == "convert":
             if target is None:
                 _fail("--to is required for convert")
@@ -196,11 +191,11 @@ def witness(action, inp, space_path, kind, target, r, eps, s, ray, p, m_quant, d
     bad = W.validate_witness(w, sp, tol)
     if bad:
         _fail("invariant violations: " + "; ".join(bad))
-    rep = W.measure_witness(w, sp, r)
+    rep = replace(W.measure_witness(w, sp, r), tol=tol)
     if report_path:
-        _dump(io.report_to_doc(rep, tol), report_path)
+        _dump(rep, report_path)
     if out:
-        _dump(io.witness_to_doc(w), out)
+        _dump(w, out)
         click.echo(f"wrote {w.form} witness to {out}")
     click.echo(
         f"form={w.form} eps_measured={rep.eps_measured:.6g} S_measured={rep.S_measured:.6g} "
@@ -223,20 +218,14 @@ def witness(action, inp, space_path, kind, target, r, eps, s, ray, p, m_quant, d
 @click.option("--out", type=click.Path(), default=None)
 def kernel(action, inp, space_path, op, other, t, alpha, tol, out):
     """Classify, transform, or operator-bridge a kernel."""
-    kern = io.kernel_from_doc(_load(inp))
+    kern = _load(inp, "kernel")
     if action == "classify":
-        cls = K.classify_kernel(kern, tol)
-        io_doc = {
-            "schema": io.SCHEMA,
-            "kind": "kernel-class",
-            "positive_type": cls.positive_type,
-            "negative_type": cls.negative_type,
-            "min_eigenvalue": cls.min_eigenvalue,
-            "max_meanzero_value": cls.max_meanzero_value,
-            "tolerance": tol,
-        }
+        try:  # a --tol below the reader's symmetry tolerance
+            cls = K.classify_kernel(kern, tol)
+        except ValueError as exc:
+            _fail(str(exc))
         if out:
-            _dump(io_doc, out)
+            _dump(cls, out)
         click.echo(f"positive_type={cls.positive_type} negative_type={cls.negative_type} tol={tol}")
         return
     if action == "transform":
@@ -246,7 +235,7 @@ def kernel(action, inp, space_path, op, other, t, alpha, tol, out):
             if op == "schur":
                 if other is None:
                     _fail("--other kernel required for schur")
-                result = K.schur_product(kern, io.kernel_from_doc(_load(other)), tol)
+                result = K.schur_product(kern, _load(other, "kernel"), tol)
             elif op == "exp":
                 result = K.exp_transform(kern, t, tol)
             elif op == "power":
@@ -261,25 +250,15 @@ def kernel(action, inp, space_path, op, other, t, alpha, tol, out):
         if not expected_ok:
             _fail(f"transform output failed its type re-check (op {op})")
         if out:
-            _dump(io.kernel_to_doc(result), out)
+            _dump(result, out)
         click.echo(f"transform {op} done (tol {tol})")
         return
     if space_path is None:
         _fail("--space is required for bridge")
-    sp = io.space_from_doc(_load(space_path))
+    sp = _load(space_path, "space")
     rep = K.kernel_operator_bridge(kern, sp, tol=tol)
-    doc = {
-        "schema": io.SCHEMA,
-        "kind": "operator-report",
-        "operator_norm": rep.operator_norm,
-        "ball_bound": rep.ball_bound,
-        "norm_within_bound": rep.norm_within_bound,
-        "psd_agreement": rep.psd_agreement,
-        "propagation": rep.propagation,
-        "tolerance": tol,
-    }
     if out:
-        _dump(doc, out)
+        _dump(rep, out)
     click.echo(
         f"norm={rep.operator_norm:.6g} N={rep.ball_bound} within={rep.norm_within_bound} "
         f"psd_agreement={rep.psd_agreement}"
@@ -294,7 +273,7 @@ def kernel(action, inp, space_path, op, other, t, alpha, tol, out):
 @main.command()
 @click.argument("action", type=click.Choice(["report", "expansion", "kazhdan"]))
 @click.option("--in", "inp", type=click.Path(exists=True), default=None)
-@click.option("--group", "group_kind", type=click.Choice(["zn", "z2pow", "dihedral"]), default=None)
+@click.option("--group", "group_kind", type=GROUPS, default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--mode", type=click.Choice(["exact", "sampled"]), default="exact")
 @click.option("--samples", type=int, default=None)
@@ -307,58 +286,34 @@ def spectral(action, inp, group_kind, n, mode, samples, seed, tol, out, csv_path
     if action == "kazhdan":
         if group_kind is None or n is None:
             _fail("kazhdan needs --group and --n")
-        g = _named_group(group_kind, n)
-        rep = SG.kazhdan_gap(g)
-        doc = {
-            "schema": io.SCHEMA,
-            "kind": "kazhdan-report",
-            "group": group_kind,
-            "n": n,
-            "eps": rep.eps,
-            "certified_lower": rep.cert_lower,
-            "weights": rep.weights,
-            "exact": rep.exact,
-            "expansion_ok": rep.expansion_ok,
-            "lambda": rep.lam,
-            "tolerance": tol,
-        }
+        try:
+            rep = SG.kazhdan_gap(_named_group(group_kind, n))
+        except ValueError as exc:
+            _fail(str(exc))
+        rep = replace(rep, group=group_kind, n=n, tol=tol)
         if out:
-            _dump(doc, out)
+            _dump(rep, out)
         click.echo(f"eps={rep.eps:.9g} cert={rep.cert_lower:.9g} expansion_ok={rep.expansion_ok}")
         if rep.expansion_ok is False:
             _fail("per-quotient expansion inequality failed")
         return
     if inp is None:
         _fail("--in graph document required")
-    graph = io.graph_from_doc(_load(inp))
+    graph = _load(inp, "graph")
     if action == "report":
-        rep = SG.laplacian_gap(graph)
-        doc = {
-            "schema": io.SCHEMA,
-            "kind": "spectral-report",
-            "lambda": rep.lam,
-            "spectrum": rep.spectrum,
-            "tolerance": tol,
-        }
+        rep = replace(SG.laplacian_gap(graph), tol=tol)
         if out:
-            _dump(doc, out)
+            _dump(rep, out)
         if csv_path:
             io.spectrum_to_csv(rep.spectrum, csv_path)
         click.echo(f"lambda={rep.lam:.9g} n={graph.n} degree={graph.degree}")
         return
-    rep = SG.expansion_constant(graph, mode=mode, samples=samples, seed=seed)
-    doc = {
-        "schema": io.SCHEMA,
-        "kind": "expansion-report",
-        "c": rep.c,
-        "subset": rep.subset,
-        "mode": rep.mode,
-        "samples": rep.samples,
-        "seed": seed,
-        "tolerance": tol,
-    }
+    try:
+        rep = replace(SG.expansion_constant(graph, mode=mode, samples=samples, seed=seed), tol=tol)
+    except ValueError as exc:
+        _fail(str(exc))
     if out:
-        _dump(doc, out)
+        _dump(rep, out)
     click.echo(f"c={rep.c:.9g} mode={rep.mode} |A|={len(rep.subset)}")
 
 
@@ -366,7 +321,7 @@ def spectral(action, inp, group_kind, n, mode, samples, seed, tol, out, csv_path
 
 
 @main.command()
-@click.option("--group", "group_kind", type=click.Choice(["zn", "z2pow", "dihedral"]), required=True)
+@click.option("--group", "group_kind", type=GROUPS, required=True)
 @click.option("--n", required=True, type=int)
 @click.option("--r", "r_values", multiple=True, type=float, default=(1.0,))
 @click.option("--eps", "eps_values", multiple=True, type=float, default=(0.5,))
@@ -376,27 +331,17 @@ def spectral(action, inp, group_kind, n, mode, samples, seed, tol, out, csv_path
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def diam(group_kind, n, r_values, eps_values, form, exact, out, csv_path):
     """Minimal support radius table for a named group."""
+    g = _named_group(group_kind, n)
     try:
-        g = _named_group(group_kind, n)
         table = A.diam_table(g, list(r_values), list(eps_values), form=form, exact=exact)
     except (ValueError, A.LPError) as exc:
         _fail(str(exc))
     if not table.monotone():
         _fail("diam table violates monotonicity")
-    doc = {
-        "schema": io.SCHEMA,
-        "kind": "diam-table",
-        "target": f"{group_kind}({n})",
-        "form": form,
-        "entries": [
-            {"R": r, "eps": e, "S": s, "optimal_defect": float(table.defects[(r, e, s)])}
-            for (r, e), s in sorted(table.entries.items())
-        ],
-    }
+    table.target = f"{group_kind}({n})"
     if out:
-        _dump(doc, out)
+        _dump(table, out)
     if csv_path:
-        table.target = f"{group_kind}({n})"
         io.diam_to_csv(table, csv_path)
     for (r, e), s in sorted(table.entries.items()):
         click.echo(f"R={r:g} eps={e:g} -> S={s:g} (defect {float(table.defects[(r, e, s)]):.6g})")
@@ -414,7 +359,7 @@ def diam(group_kind, n, r_values, eps_values, form, exact, out, csv_path):
 @click.option("--profile", "profile_path", type=click.Path(), default=None)
 def embed(inp, space_path, mode, tol, csv_path, profile_path):
     """Embed a kernel and export coordinates / compression profile CSVs."""
-    kern = io.kernel_from_doc(_load(inp))
+    kern = _load(inp, "kernel")
     try:
         emb = K.embed_from_kernel(kern, mode, tol)
     except ValueError as exc:
@@ -426,7 +371,7 @@ def embed(inp, space_path, mode, tol, csv_path, profile_path):
     if profile_path:
         if space_path is None:
             _fail("--space needed for a compression profile")
-        sp = io.space_from_doc(_load(space_path))
+        sp = _load(space_path, "space")
         prof = SP.compression_profile(SP.PointMap(sp, None, emb.coords))
         io.profile_to_csv(prof, profile_path)
     click.echo(f"embedded {n} points into dim {emb.dimension} (clipped mass {emb.clipped_mass:.3g}, tol {tol})")
@@ -440,75 +385,20 @@ def embed(inp, space_path, mode, tol, csv_path, profile_path):
 @click.option("--space", "space_path", type=click.Path(exists=True), default=None)
 @click.option("--tol", type=float, default=1e-9)
 def report(inp, space_path, tol):
-    """Re-verify a stored artifact's type invariants; exit 0 iff clean."""
-    doc = _load(inp)
-    kind = doc.get("kind")
-    if kind == "space":
-        try:
-            io.space_from_doc(doc)
-        except ValueError as exc:
-            _fail(f"space: {exc}")
-        click.echo("space invariants ok")
-        return
-    if kind == "group":
-        try:
-            io.group_from_doc(doc)
-        except ValueError as exc:
-            _fail(f"group: {exc}")
-        click.echo("group invariants ok")
-        return
-    if kind == "witness":
-        if space_path is None:
-            _fail("--space required to check a witness")
-        sp = io.space_from_doc(_load(space_path))
-        w = io.witness_from_doc(doc)
-        bad = W.validate_witness(w, sp, tol)
-        if bad:
-            _fail("witness: " + "; ".join(bad))
-        click.echo("witness invariants ok")
-        return
-    if kind == "kernel":
-        kern = io.kernel_from_doc(doc)
-        cls = K.classify_kernel(kern, tol)
-        click.echo(f"kernel symmetric; positive_type={cls.positive_type} negative_type={cls.negative_type}")
-        return
-    if kind == "graph":
-        try:
-            io.graph_from_doc(doc)
-        except ValueError as exc:
-            _fail(f"graph: {exc}")
-        click.echo("graph invariants ok")
-        return
-    check = _REPORT_CHECKS.get(kind)
-    if check is None:
-        _fail(f"no invariant checks for kind {kind!r}")
-    if doc.get("schema") != io.SCHEMA:
-        _fail(f"{kind}: bad or missing schema field (expected {io.SCHEMA})")
-    bad = check(doc, space_path, tol)
+    """Re-verify a stored artifact's invariants; exit 0 iff clean."""
+    obj = _load(inp)
+    kind = io.kind_of(obj)
+    bad = obj.invariants(tol) if hasattr(obj, "invariants") else []
+    if kind in _REMEASURE:
+        bad += _REMEASURE[kind](obj, space_path, tol)
     if bad:
         _fail(f"{kind}: " + "; ".join(bad))
     click.echo(f"{kind} invariants ok")
 
 
-# Checks of the report documents the CLI writes: each returns its problems.
-# They read the document alone, except where --space supplies the graph
-# (its unit-distance pairs) for a re-measurement, and kazhdan-report, whose
-# named group is rebuilt to recompute the certificate.
-
-
-def _numbers(doc, keys, low=-math.inf) -> list:
-    bad = []
-    for key in keys:
-        v = doc.get(key)
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            bad.append(f"{key} is not a finite number")
-        elif v < low:
-            bad.append(f"{key} {v!r} is below {low!r}")
-    return bad
-
-
-def _flags(doc, keys) -> list:
-    return [f"{key} is not a boolean" for key in keys if not isinstance(doc.get(key), bool)]
+# Re-measurements behind ``report``: each returns its problems.  --space
+# supplies the space of a witness and the graph (its unit-distance pairs) of
+# the spectral and expansion reports; a Kazhdan report names its group.
 
 
 def _unit_graph(sp, what) -> SG.RegularGraph:
@@ -519,163 +409,57 @@ def _unit_graph(sp, what) -> SG.RegularGraph:
         _fail(f"{what} is not a regular graph metric: {exc}")
 
 
-def _space_graph(space_path) -> SG.RegularGraph:
-    return _unit_graph(io.space_from_doc(_load(space_path)), "--space")
+def _remeasure_witness(w, space_path, tol) -> list:
+    if space_path is None:
+        _fail("--space required to check a witness")
+    return W.validate_witness(w, _load(space_path, "space"), tol)
 
 
-def _check_witness_report(doc, _space_path, _tol) -> list:
-    bad = _numbers(doc, ["R_target", "eps_measured", "S_measured", "norm_deviation", "tolerance"], low=0.0)
-    if doc.get("form") not in FORMS:
-        bad.append(f"unknown witness form {doc.get('form')!r}")
-    if not isinstance(doc.get("notes"), dict):
-        bad.append("notes is not an object")
-    return bad
+def _remeasure_spectral(rep, space_path, tol) -> list:
+    if space_path is None:
+        return []
+    again = SG.laplacian_gap(_unit_graph(_load(space_path, "space"), "--space")).spectrum
+    slack = tol * max(1.0, float(np.abs(rep.spectrum).max(initial=0.0)))
+    if again.shape != rep.spectrum.shape or np.abs(again - rep.spectrum).max() > slack:
+        return ["spectrum differs from the Laplacian spectrum of --space"]
+    return []
 
 
-def _check_kernel_class(doc, _space_path, _tol) -> list:
-    bad = _flags(doc, ["positive_type", "negative_type"])
-    bad += _numbers(doc, ["min_eigenvalue", "max_meanzero_value"]) + _numbers(doc, ["tolerance"], low=0.0)
-    if bad:
-        return bad
-    if doc["min_eigenvalue"] >= 0 and not doc["positive_type"]:
-        bad.append("min_eigenvalue >= 0 but positive_type is false")
-    if doc["max_meanzero_value"] <= 0 and not doc["negative_type"]:
-        bad.append("max_meanzero_value <= 0 but negative_type is false")
-    return bad
-
-
-def _check_operator_report(doc, _space_path, _tol) -> list:
-    bad = _flags(doc, ["norm_within_bound", "psd_agreement"])
-    bad += _numbers(doc, ["operator_norm", "propagation", "tolerance"], low=0.0) + _numbers(doc, ["ball_bound"], low=1)
-    if bad:
-        return bad
-    if not doc["norm_within_bound"]:
-        bad.append("operator norm exceeds the ball bound")
-    if not doc["psd_agreement"]:
-        bad.append("operator positivity and kernel positive type disagree")
-    return bad
-
-
-def _check_spectral_report(doc, space_path, tol) -> list:
-    bad = _numbers(doc, ["lambda"]) + _numbers(doc, ["tolerance"], low=0.0)
-    spectrum = doc.get("spectrum")
-    if not isinstance(spectrum, list) or len(spectrum) < 2:
-        return bad + ["spectrum is not a list of at least two eigenvalues"]
-    bad += _numbers(dict(enumerate(spectrum)), range(len(spectrum)))
-    if bad:
-        return bad
-    spec = np.asarray(spectrum, dtype=float)
-    slack = tol * max(1.0, float(np.abs(spec).max()))
-    if np.any(np.diff(spec) < -slack):
-        bad.append("spectrum is not ascending")
-    if abs(spec[0]) > slack:
-        bad.append(f"smallest eigenvalue {spec[0]!r} is not 0")
-    if doc["lambda"] != spec[1]:
-        bad.append("lambda is not the second-smallest eigenvalue")
-    if space_path is not None:
-        again = SG.laplacian_gap(_space_graph(space_path)).spectrum
-        if again.shape != spec.shape or np.abs(again - spec).max() > slack:
-            bad.append("spectrum differs from the Laplacian spectrum of --space")
-    return bad
-
-
-def _check_expansion_report(doc, space_path, _tol) -> list:
-    bad = _numbers(doc, ["c", "tolerance"], low=0.0)
-    subset = doc.get("subset")
-    if (not isinstance(subset, list) or not subset or len(set(subset)) != len(subset)
-            or not all(isinstance(v, int) and v >= 0 for v in subset)):
-        bad.append("subset is not a nonempty list of distinct vertex indices")
-    mode, samples = doc.get("mode"), doc.get("samples")
-    if mode == "exact" and samples is not None:
-        bad.append("exact mode records a sample count")
-    elif mode == "sampled" and not (isinstance(samples, int) and samples >= 1):
-        bad.append("sampled mode needs a positive sample count")
-    elif mode not in ("exact", "sampled"):
-        bad.append(f"unknown mode {mode!r}")
-    if not bad and space_path is not None:
-        try:
-            again = SG.expansion_constant(_space_graph(space_path), mode=mode, samples=samples, seed=doc.get("seed", 0))
-        except ValueError as exc:
-            _fail(f"expansion-report: {exc}")
-        if again.c != doc["c"] or again.subset != subset:
-            bad.append(f"re-measured on --space: c={again.c!r} subset={again.subset}")
-    return bad
-
-
-def _check_kazhdan_report(doc, _space_path, tol) -> list:
-    bad = _numbers(doc, ["eps", "certified_lower", "lambda", "tolerance"], low=0.0) + _flags(doc, ["exact"])
-    weights = doc.get("weights")
-    if not isinstance(weights, list) or not weights:
-        bad.append("weights is not a nonempty list")
-    else:
-        bad += _numbers(dict(enumerate(weights)), range(len(weights)), low=0.0)
-    if doc.get("expansion_ok") is False:
-        bad.append("the per-quotient expansion inequality failed")
-    elif doc.get("expansion_ok") is not None and doc.get("expansion_ok") is not True:
-        bad.append("expansion_ok is not a boolean or null")
-    kind, n = doc.get("group"), doc.get("n")
-    if kind not in ("zn", "z2pow", "dihedral") or isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        bad.append("group and n do not name a group")
-    if bad:
-        return bad
+def _remeasure_expansion(rep, space_path, _tol) -> list:
+    if space_path is None:
+        return []
+    graph = _unit_graph(_load(space_path, "space"), "--space")
     try:
-        group = _named_group(kind, n)
+        again = SG.expansion_constant(graph, mode=rep.mode, samples=rep.samples, seed=rep.seed)
     except ValueError as exc:
-        return [f"cannot rebuild {kind}({n}): {exc}"]
+        return [f"cannot re-measure on --space: {exc}"]
+    if again.c != rep.c or again.subset != rep.subset:
+        return [f"re-measured on --space: c={again.c!r} subset={again.subset}"]
+    return []
+
+
+def _remeasure_kazhdan(rep, _space_path, tol) -> list:
+    group = _named_group(rep.group, rep.n)
     if group.n < 2:
-        return [f"{kind}({n}) has fewer than two elements"]
-    eps, cert = doc["eps"], doc["certified_lower"]
-    forms, _counts = SG.kazhdan_forms(group)
-    w = np.asarray(weights, dtype=float)
-    if len(w) != len(forms) or abs(w.sum() - 1.0) > tol:
+        return [f"{rep.group}({rep.n}) has fewer than two elements"]
+    bad = []
+    cert, forms = rep.cert_lower, SG.kazhdan_forms(group)[0]
+    if len(rep.weights) != len(forms) or rep.weights.min() < 0 or abs(rep.weights.sum() - 1.0) > tol:
         bad.append(f"weights are not a point of the simplex over the {len(forms)} distinct generator forms")
     else:
-        dual = float(np.linalg.eigvalsh(np.tensordot(w, forms, 1))[0])
+        dual = float(np.linalg.eigvalsh(np.tensordot(rep.weights, forms, 1))[0])
         if dual < cert**2 - tol:
             bad.append(f"lambda_min at the recorded weights, {dual!r}, is below certified_lower^2 = {cert**2!r}")
-    if cert**2 < 2.0 * doc["lambda"] / len(group.generators) - tol:
+    if cert**2 < 2.0 * rep.lam / len(group.generators) - tol:
         bad.append("certified_lower is below the uniform-weight bound sqrt(2 lambda / |S|)")
-    if eps < cert - tol:
-        bad.append(f"eps {eps!r} is below certified_lower {cert!r}")
-    if doc["exact"] and eps - cert > tol:
-        bad.append(f"exact, but the primal-dual gap eps - certified_lower is {eps - cert!r}")
     return bad
 
 
-def _check_diam_table(doc, _space_path, tol) -> list:
-    bad = []
-    if doc.get("form") not in ("folner", "witness"):
-        bad.append(f"unknown form {doc.get('form')!r}")
-    if not isinstance(doc.get("target"), str):
-        bad.append("target is not a string")
-    entries = doc.get("entries")
-    if not isinstance(entries, list) or not entries:
-        return bad + ["entries is not a nonempty list"]
-    table = A.DiamTable(target=doc.get("target"), form=doc.get("form"))
-    for i, entry in enumerate(entries):
-        problems = _numbers(entry, ["R", "eps", "S", "optimal_defect"], low=0.0) if isinstance(entry, dict) else ["not an object"]
-        if problems:
-            bad += [f"entry {i}: {p}" for p in problems]
-            continue
-        key = (entry["R"], entry["eps"])
-        if key in table.entries:
-            bad.append(f"entry {i}: repeats the cell R={key[0]!r} eps={key[1]!r}")
-        if not entry["optimal_defect"] < entry["eps"] + tol:
-            bad.append(f"entry {i}: optimal defect {entry['optimal_defect']!r} is not below eps {entry['eps']!r}")
-        table.entries[key] = entry["S"]
-    if not bad and not table.monotone():
-        bad.append("S is not monotone in R and eps")
-    return bad
-
-
-_REPORT_CHECKS = {
-    "witness-report": _check_witness_report,
-    "kernel-class": _check_kernel_class,
-    "operator-report": _check_operator_report,
-    "spectral-report": _check_spectral_report,
-    "expansion-report": _check_expansion_report,
-    "kazhdan-report": _check_kazhdan_report,
-    "diam-table": _check_diam_table,
+_REMEASURE = {
+    "witness": _remeasure_witness,
+    "spectral-report": _remeasure_spectral,
+    "expansion-report": _remeasure_expansion,
+    "kazhdan-report": _remeasure_kazhdan,
 }
 
 

@@ -70,10 +70,11 @@ class FiniteGroup:
         t = self.table
         if t.min() < 0 or t.max() >= self.n:
             raise ValueError("table entries out of range")
-        # t[t][i,j,k] = t[t[i,j],k] and take(t,t,axis=1)[i,j,k] = t[i,t[j,k]]
-        if not np.array_equal(t[t], np.take(t, t, axis=1)):
-            raise ValueError("multiplication table is not associative")
         gens = set(self.generators)
+        if any(not 0 <= s < self.n for s in gens):
+            raise ValueError("generator index out of range")
+        if not self._associative():
+            raise ValueError("multiplication table is not associative")
         if self.identity in gens:
             raise ValueError("generating set must not contain the identity")
         for s in gens:
@@ -82,6 +83,15 @@ class FiniteGroup:
         for s, w in self.generator_weights.items():
             if w < 1:
                 raise ValueError("generator lengths must be at least 1")
+
+    def _associative(self) -> bool:
+        """Light's test, O(n^2 |S|): (x s) y = x (s y) for every generator s.
+        A failure disproves associativity.  The elements that pass form a
+        closed set containing the identity, so a pass proves it once the
+        generators generate, which ``_word_lengths`` checks next (raising
+        otherwise)."""
+        t = self.table
+        return all(np.array_equal(t[t[:, s]], t[:, t[s]]) for s in self.generators)
 
     def _word_lengths(self) -> np.ndarray:
         dist = np.full(self.n, math.inf)
@@ -129,6 +139,8 @@ def z2_power_group(k: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the n-gon, elements (rot, flip), generators r, r^-1, s."""
+    if n < 2:
+        raise ValueError("the n-gon needs n >= 2")
     elements = [(r, f) for f in (0, 1) for r in range(n)]
     index = {e: i for i, e in enumerate(elements)}
 
@@ -143,6 +155,10 @@ def dihedral_group(n: int) -> FiniteGroup:
     gens = [index[(1, 0)], index[(n - 1, 0)], index[(0, 1)]]
     gens = sorted(set(gens))
     return FiniteGroup(elements, table, gens)
+
+
+# the groups the CLI and its documents name: kind -> constructor of the size parameter
+NAMED_GROUPS = {"zn": cyclic_group, "z2pow": z2_power_group, "dihedral": dihedral_group}
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:

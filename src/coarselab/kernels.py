@@ -30,7 +30,10 @@ class Kernel:
     propagation: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
+        m = _as_matrix(self.matrix)
+        if np.abs(m - m.T).max(initial=0.0) > PSD_TOL * max(np.abs(m).max(initial=0.0), 1.0):
+            raise ValueError("kernel is not symmetric")
+        object.__setattr__(self, "matrix", m)
 
     def measured_propagation(self, space: FiniteMetricSpace) -> float:
         off = np.abs(self.matrix) > 1e-12
@@ -65,6 +68,15 @@ class KernelClass:
     min_eigenvalue: float
     max_meanzero_value: float
     tol: float
+
+    def invariants(self, tol: float) -> list:
+        """Flags that contradict the recorded extreme values (``tol`` unused)."""
+        bad = []
+        if self.min_eigenvalue >= 0 and not self.positive_type:
+            bad.append("min_eigenvalue >= 0 but positive_type is false")
+        if self.max_meanzero_value <= 0 and not self.negative_type:
+            bad.append("max_meanzero_value <= 0 but negative_type is false")
+        return bad
 
 
 def _as_matrix(k) -> np.ndarray:
@@ -384,14 +396,24 @@ def lp_profile_bounds(space: FiniteMetricSpace, stage_radii, delta: float, p: fl
 
 @dataclass(frozen=True)
 class OperatorReport:
-    matrix: np.ndarray
+    """``kernel_positive_type`` is not in the document: None when read from one."""
+
     operator_norm: float
     ball_bound: int
     norm_within_bound: bool
-    operator_psd: bool
-    kernel_positive_type: bool
     psd_agreement: bool
     propagation: float
+    tol: float
+    kernel_positive_type: bool | None = None
+
+    def invariants(self, tol: float) -> list:
+        """The two claims of the bridge (``tol`` unused)."""
+        bad = []
+        if not self.norm_within_bound:
+            bad.append("operator norm exceeds the ball bound")
+        if not self.psd_agreement:
+            bad.append("operator positivity and kernel positive type disagree")
+        return bad
 
 
 def kernel_operator_bridge(k, space: FiniteMetricSpace, n_bound: int | None = None, tol: float = PSD_TOL) -> OperatorReport:
@@ -417,12 +439,11 @@ def kernel_operator_bridge(k, space: FiniteMetricSpace, n_bound: int | None = No
     # type kernels sup|k| = 1 and this is the plain N bound
     sup = float(np.abs(m).max()) if m.size else 0.0
     return OperatorReport(
-        matrix=m,
         operator_norm=op_norm,
         ball_bound=n_bound,
         norm_within_bound=op_norm <= n_bound * max(sup, 1e-300) + 1e-9,
-        operator_psd=psd,
         kernel_positive_type=cls.positive_type,
         psd_agreement=psd == cls.positive_type,
         propagation=prop,
+        tol=tol,
     )

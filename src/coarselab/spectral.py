@@ -73,9 +73,28 @@ def _is_connected(adj: np.ndarray) -> bool:
 
 @dataclass
 class SpectralReport:
+    """``tol``: the tolerance recorded in the document; ``eigenvector`` is not
+    in the document, None when read from one."""
+
     spectrum: np.ndarray
     lam: float
-    eigenvector: np.ndarray
+    eigenvector: np.ndarray | None = None
+    tol: float = 1e-9
+
+    def invariants(self, tol: float) -> list:
+        """An ascending Laplacian spectrum from 0, with lam its second value."""
+        spec = self.spectrum
+        if len(spec) < 2:
+            return ["spectrum is not a list of at least two eigenvalues"]
+        slack = tol * max(1.0, float(np.abs(spec).max()))
+        bad = []
+        if np.any(np.diff(spec) < -slack):
+            bad.append("spectrum is not ascending")
+        if abs(spec[0]) > slack:
+            bad.append(f"smallest eigenvalue {float(spec[0])!r} is not 0")
+        if self.lam != spec[1]:
+            bad.append("lambda is not the second-smallest eigenvalue")
+        return bad
 
 
 def laplacian_gap(g: RegularGraph) -> SpectralReport:
@@ -101,10 +120,22 @@ def poincare_check(g: RegularGraph, f) -> tuple:
 
 @dataclass
 class ExpansionReport:
+    """``seed`` draws the sampled subsets; ``tol`` is recorded in the document."""
+
     c: float
     subset: list
     mode: str
     samples: int | None = None
+    seed: int = 0
+    tol: float = 1e-9
+
+    def invariants(self, tol: float) -> list:
+        """A sample count exactly when sampled (``tol`` unused)."""
+        if self.mode == "exact" and self.samples is not None:
+            return ["exact mode records a sample count"]
+        if self.mode == "sampled" and not (self.samples and self.samples >= 1):
+            return ["sampled mode needs a positive sample count"]
+        return []
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -166,7 +197,7 @@ def expansion_constant(graph, mode: str = "exact", samples: int | None = None, s
     else:
         raise ValueError(f"unknown mode {mode!r}")
     c, subset = _first_minimum(adj, batches, lambda boundary, size: boundary / ((1.0 - size / n) * size))
-    return ExpansionReport(c=c, subset=subset, mode=mode, samples=samples)
+    return ExpansionReport(c=c, subset=subset, mode=mode, samples=samples, seed=seed)
 
 
 @dataclass
@@ -212,16 +243,33 @@ def concentration_test(g: RegularGraph, coords, c_edge: float | None = None) -> 
 @dataclass
 class KazhdanReport:
     """``weights``: the dual weights t over the ``kazhdan_forms``, so anyone can
-    recompute cert_lower**2 = lambda_min(sum_k t_k Q_k)."""
+    recompute cert_lower**2 = lambda_min(sum_k t_k Q_k).  ``group`` and ``n``
+    name the group (a ``NAMED_GROUPS`` kind and its size) when it has a name;
+    ``tol`` is recorded in the document.  The worst subset and margin are not
+    in the document, None when read from one."""
 
     eps: float
     cert_lower: float
     exact: bool
     expansion_ok: bool | None
-    worst_subset: list | None
-    worst_margin: float | None
     lam: float
     weights: np.ndarray
+    worst_subset: list | None = None
+    worst_margin: float | None = None
+    group: str | None = None
+    n: int | None = None
+    tol: float = KAZHDAN_TOL
+
+    def invariants(self, tol: float) -> list:
+        """The primal-dual sandwich cert_lower <= eps, closed when exact."""
+        bad = []
+        if self.expansion_ok is False:
+            bad.append("the per-quotient expansion inequality failed")
+        if self.eps < self.cert_lower - tol:
+            bad.append(f"eps {self.eps!r} is below certified_lower {self.cert_lower!r}")
+        if self.exact and self.eps - self.cert_lower > tol:
+            bad.append(f"exact, but the primal-dual gap eps - certified_lower is {self.eps - self.cert_lower!r}")
+        return bad
 
 
 def _cayley_adjacency(group: FiniteGroup) -> np.ndarray:

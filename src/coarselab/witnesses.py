@@ -21,6 +21,7 @@ from .spaces import FiniteMetricSpace, graph_metric, _scaled_tol
 
 SUPPORT_TOL = 1e-12
 NORM_TOL = 1e-9
+FORMS = ("a-family", "lp", "tail", "partition", "vector", "kernel")
 
 
 @dataclass(kw_only=True)
@@ -82,6 +83,7 @@ class TailWitness(WitnessBase):
     def __post_init__(self):
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+        self.p = float(self.p)
         self.table = np.abs(np.asarray(self.table, dtype=float))
 
 
@@ -130,12 +132,15 @@ class KernelWitness(WitnessBase):
 
 @dataclass
 class WitnessReport:
+    """``tol``: the tolerance in effect, recorded in the document."""
+
     form: str
     R_target: float
     eps_measured: float
     S_measured: float
     norm_deviation: float
     notes: dict = field(default_factory=dict)
+    tol: float = NORM_TOL
 
 
 def _afamily_ratio(a: frozenset, b: frozenset) -> float:
@@ -185,13 +190,8 @@ def measure_witness(w, space: FiniteMetricSpace, R_target: float) -> WitnessRepo
         norm_dev = 0.0
         truncated = w.meta.get("truncated", ())
         if truncated:
-            affected = [
-                (space.points[i], space.points[j])
-                for i, j in zip(*np.nonzero(mask))
-                if i < j and (i in truncated or j in truncated)
-            ]
-            notes["truncated_pairs"] = affected
-            notes["truncated_pair_count"] = len(affected)
+            notes["truncated_pair_count"] = sum(
+                1 for i, j in zip(*np.nonzero(mask)) if i < j and (i in truncated or j in truncated))
             notes["truncated_point_count"] = len(truncated)
             clean = [
                 _afamily_ratio(w.sets[i], w.sets[j])
@@ -260,7 +260,8 @@ def _tail_masses(w: TailWitness, space: FiniteMetricSpace) -> dict:
 
 def validate_witness(w, space: FiniteMetricSpace, tol: float = NORM_TOL) -> list:
     """Check the form's own invariants; returns a list of violation strings."""
-    w.check_space(space)
+    if tuple(space.points) != tuple(w.point_ids):
+        return ["witness points do not match the given space"]
     bad = []
     if isinstance(w, AFamily):
         if any(len(a) == 0 for a in w.sets):

@@ -1,7 +1,8 @@
 """Reference loops for the vectorised routines: the scalar canonical writer,
 the all-pairs BFS graph metric, the per-pair compression profile and the
-float64 triangle check, one element at a time in plain Python.  The
-property tests compare the library against them."""
+float64 triangle check, one element at a time in plain Python, and the
+every-triple associativity check that Light's test replaced.  The property
+tests compare the library against them."""
 
 import json
 import math
@@ -95,3 +96,10 @@ def triangle_error(points, dist):
             i, j = np.unravel_index(np.argmin(slack), slack.shape)
             return f"triangle inequality fails for ({points[i]}, {points[k]}, {points[j]})"
     return None
+
+
+def associative(table) -> bool:
+    """(x y) z = x (y z) for every triple, as two n x n x n index arrays."""
+    t = np.asarray(table)
+    # t[t][i,j,k] = t[t[i,j],k] and take(t,t,axis=1)[i,j,k] = t[i,t[j,k]]
+    return bool(np.array_equal(t[t], np.take(t, t, axis=1)))

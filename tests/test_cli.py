@@ -194,13 +194,15 @@ def test_diam_rejects_nonpositive_eps(runner, tmp_path):
 
 def test_diam_exact_below_the_rounding_grain(runner):
     # limit_denominator(10**6) rounds eps = 1e-7 to 0; the exact path must
-    # still find the S that the float path finds
-    answers = [invoke(runner, ["diam", "--group", "zn", "--n", "4", "--eps", "1e-7", flag])
-               for flag in ("--exact", "--no-exact")]
-    for res in answers:
-        assert res.exit_code == 0, res.output
-    assert "S=2 (defect 0)" in answers[0].output
-    assert answers[0].output == answers[1].output
+    # still find the S that the float path finds.  At eps = 1e-10 the float
+    # path's margin against LP noise must stay below eps.
+    for eps in ("1e-7", "1e-10"):
+        answers = [invoke(runner, ["diam", "--group", "zn", "--n", "4", "--eps", eps, flag])
+                   for flag in ("--exact", "--no-exact")]
+        for res in answers:
+            assert res.exit_code == 0, res.output
+        assert "S=2 (defect 0)" in answers[0].output
+        assert answers[0].output == answers[1].output
 
 
 def test_space_gen_writes_graph_and_kernel_documents(runner, tmp_path):
@@ -305,3 +307,48 @@ def test_report_checks_every_written_kind(runner, tmp_path):
     assert invoke(runner, ["report", "--in", str(moved)]).exit_code == 0
     res = invoke(runner, ["report", "--in", str(moved), "--space", str(sp)])
     assert res.exit_code == 1 and "re-measured" in res.output
+
+
+def _without(doc, key, part=None):
+    doc = json.loads(json.dumps(doc))
+    del (doc[part] if part else doc)[key]
+    return doc
+
+
+ASYMMETRIC = {"schema": "coarselab/1", "kind": "kernel", "matrix": [[0.0, 1.0, 2.0], [3.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}
+# symmetric to the reader's 1e-9, not to --tol 1e-15
+NEARLY_SYMMETRIC = {"schema": "coarselab/1", "kind": "kernel", "matrix": [[0.0, 1.0], [1.0 + 1e-12, 0.0]]}
+# (written document, how to break it, commands that read it)
+MALFORMED = {
+    "witness without form": ("w.json", lambda d: _without(d, "form"), ["report", "convert"]),
+    "witness without data": ("w.json", lambda d: _without(d, "data"), ["report", "convert"]),
+    "witness data without table": ("w.json", lambda d: _without(d, "table", "data"), ["report", "convert"]),
+    "graph without adjacency": ("g.json", lambda d: _without(d, "adjacency"), ["report", "spectral"]),
+    "space without dist": ("c8.json", lambda d: _without(d, "dist"), ["report", "build"]),
+    "asymmetric kernel": ("c8.json", lambda d: ASYMMETRIC, ["report", "classify"]),
+    "kernel asymmetric at --tol": ("c8.json", lambda d: NEARLY_SYMMETRIC, ["classify at 1e-15"]),
+    "top-level list": ("c8.json", lambda d: [d], ["report", "convert", "classify"]),
+    "document without kind": ("c8.json", lambda d: _without(d, "kind"), ["report", "build"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_an_error_line(runner, tmp_path, case):
+    sp, graph, w = tmp_path / "c8.json", tmp_path / "g.json", tmp_path / "w.json"
+    invoke(runner, ["space", "gen", "--kind", "cycle", "--n", "8", "--out", str(sp), "--graph-out", str(graph)])
+    invoke(runner, ["witness", "build", "--space", str(sp), "--kind", "ball", "--out", str(w)])
+    source, breaks, commands = MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(breaks(json.loads((tmp_path / source).read_text()))))
+    argv = {
+        "report": ["report", "--in", bad, "--space", sp],
+        "convert": ["witness", "convert", "--in", bad, "--space", sp, "--to", "lp"],
+        "spectral": ["spectral", "report", "--in", bad],
+        "build": ["witness", "build", "--space", bad],
+        "classify": ["kernel", "classify", "--in", bad],
+        "classify at 1e-15": ["kernel", "classify", "--in", bad, "--tol", "1e-15"],
+    }
+    for command in commands:
+        # an exception other than the exit would escape invoke() here
+        res = invoke(runner, [str(a) for a in argv[command]])
+        assert res.exit_code == 1 and "error: " in res.output, (command, res.output)

@@ -1,22 +1,28 @@
 """Property-based invariants on generated inputs: the chunked subset kernel
 against a plain enumeration, the Kazhdan primal-dual certificate, certified
-LP optima against a rational simplex, and the vectorised writer, graph
-metric, compression profile and triangle check against their loops."""
+LP optima against a rational simplex, the vectorised writer, graph metric,
+compression profile, triangle check and Light's associativity test against
+their loops, and every document kind through write, read and write."""
 
+import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from coarselab import serialize
 from coarselab import spectral as SG
+from coarselab import witnesses as W
+from coarselab.amenability import diam_table
 from coarselab.exactlp import solve_lp
-from coarselab.groups import cyclic_group, dihedral_group, direct_product, z2_power_group
-from coarselab.spaces import FiniteMetricSpace, PointMap, compression_profile, graph_metric
+from coarselab.groups import NAMED_GROUPS, FiniteGroup, cyclic_group, dihedral_group, direct_product, z2_power_group
+from coarselab.kernels import Kernel, classify_kernel, kernel_operator_bridge
+from coarselab.spaces import FiniteMetricSpace, PointMap, compression_profile, cycle_space, graph_metric, path_space
 import loop_oracles as oracle
 from lp_oracle import solve_exact
 
@@ -304,3 +310,137 @@ def test_integer_triangle_check_matches_float64(adj, scale, data):
     want = oracle.triangle_error(points, dist)
     got = _outcome(FiniteMetricSpace, points, dist)
     assert (got if isinstance(got, str) else None) == want
+
+
+# -- associativity: Light's test against every triple -----------------------
+
+
+@PROPERTY
+@given(group=st.one_of(products(), st.builds(z2_power_group, st.integers(1, 4))), data=st.data())
+def test_light_associativity_test_matches_every_triple(group, data):
+    assert oracle.associative(group.table)
+    FiniteGroup(group.elements, group.table, group.generators)
+    # moving one entry x y != e to another non-identity value keeps the
+    # identity and the inverses, but the row is no longer a permutation, so
+    # the table is no group and not associative; with y outside the
+    # generators the word lengths, which multiply only by generators, still
+    # reach every element, so the rejection is Light's test's own
+    e = group.identity
+    cells = [(x, y) for x in range(group.n) for y in range(group.n)
+             if e not in (x, y) and y not in group.generators and group.table[x, y] != e]
+    assume(cells)
+    x, y = data.draw(st.sampled_from(cells))
+    table = group.table.copy()
+    table[x, y] = data.draw(st.sampled_from([z for z in range(group.n) if z not in (e, table[x, y])]))
+    assert not oracle.associative(table)
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(group.elements, table, group.generators)
+
+
+# -- every document kind: write, read, write --------------------------------
+
+CONVERSIONS = [("af", "w", "a-family", {}), ("lp1", "af", "lp", {}), ("lp2", "lp1", "lp", {"q": 2.0}),
+               ("tail", "lp1", "tail", {"delta": 0.5}), ("part", "lp1", "partition", {}),
+               ("vec", "lp2", "vector", {}), ("ker", "vec", "kernel", {})]
+TOLERANCES = st.sampled_from([1e-9, 1e-6, 0.0])
+
+
+def _space(draw):
+    shape = draw(st.sampled_from(["cycle", "path", "graph"]))
+    if shape == "graph":
+        return graph_metric(draw(graphs(max_n=8).filter(SG._is_connected)))
+    return (cycle_space if shape == "cycle" else path_space)(draw(st.integers(3, 8)))
+
+
+def _regular_graph(draw):
+    if draw(st.booleans()):
+        return SG.RegularGraph((cycle_space(draw(st.integers(3, 9))).dist == 1).astype(int))
+    return SG.random_regular_graph(draw(st.sampled_from([4, 6, 8, 10])), 3, seed=draw(st.integers(0, 99)))
+
+
+def _named_group(draw):
+    kind = draw(st.sampled_from(sorted(NAMED_GROUPS)))
+    n = draw(st.integers(*{"zn": (2, 8), "z2pow": (1, 3), "dihedral": (2, 4)}[kind]))
+    return kind, n, NAMED_GROUPS[kind](n)
+
+
+def _witness(draw, space):
+    """A ball witness, or one of its conversions along CONVERSIONS, which
+    passes through every form."""
+    ws = {"w": W.ball_witness(space, draw(st.sampled_from([1.0, 2.0])), 1.0)}
+    for stem, src, form, params in CONVERSIONS:
+        if src in ws:
+            try:
+                ws[stem] = W.convert_witness(ws[src], form, space, **params)
+            except ValueError:  # a conversion's precondition, such as a positive measured eps
+                pass
+    return ws[draw(st.sampled_from(sorted(ws)))]
+
+
+def _kernel(draw, space):
+    matrix = draw(st.sampled_from([space.dist**2, np.exp(-space.dist**2 / 4.0), np.exp(-space.dist)]))
+    return Kernel(matrix=matrix, normalized=draw(st.sampled_from([None, True, False])),
+                  propagation=draw(st.sampled_from([None, 1.0, 2])))
+
+
+def _kazhdan(draw):
+    kind, n, group = _named_group(draw)
+    return replace(SG.kazhdan_gap(group), group=kind, n=n, tol=draw(TOLERANCES))
+
+
+def _diam(draw):
+    kind, n, group = _named_group(draw)
+    table = diam_table(group, [1.0, 2.0], draw(st.sampled_from([[0.5], [0.5, 0.25]])), form="folner")
+    return replace(table, target=f"{kind}({n})")
+
+
+def _expansion(draw):
+    graph, seed = _regular_graph(draw), draw(st.integers(0, 99))
+    mode, samples = draw(st.sampled_from([("exact", None), ("sampled", 30)]))
+    return replace(SG.expansion_constant(graph, mode=mode, samples=samples, seed=seed), tol=draw(TOLERANCES))
+
+
+def _witness_report(draw):
+    space = _space(draw)
+    return replace(W.measure_witness(_witness(draw, space), space, 1.0), tol=draw(TOLERANCES))
+
+
+def _operator_report(draw):
+    space = _space(draw)
+    return kernel_operator_bridge(np.exp(-space.dist**2 / 4.0), space, tol=draw(st.sampled_from([1e-9, 1e-6])))
+
+
+BUILD = {
+    "space": _space,
+    "group": lambda draw: draw(st.one_of(products(), st.builds(z2_power_group, st.integers(1, 3)))),
+    "graph": _regular_graph,
+    "witness": lambda draw: _witness(draw, _space(draw)),
+    "kernel": lambda draw: _kernel(draw, _space(draw)),
+    "witness-report": _witness_report,
+    "kernel-class": lambda draw: classify_kernel(_kernel(draw, _space(draw)), draw(TOLERANCES)),
+    "operator-report": _operator_report,
+    "spectral-report": lambda draw: replace(SG.laplacian_gap(_regular_graph(draw)), tol=draw(TOLERANCES)),
+    "expansion-report": _expansion,
+    "kazhdan-report": _kazhdan,
+    "diam-table": _diam,
+}
+
+
+def test_every_document_kind_is_generated():
+    assert sorted(BUILD) == sorted(serialize._KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILD))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_write_read_write_gives_the_same_bytes(kind, data):
+    obj = BUILD[kind](data.draw)
+    try:
+        text = serialize.dumps(serialize.write(obj))
+    except ValueError:  # a non-finite measurement has no document
+        assume(False)
+    back = serialize.read(json.loads(text))
+    assert serialize.kind_of(back) == kind
+    assert serialize.dumps(serialize.write(back)) == text
+    if hasattr(back, "invariants"):  # what the library writes holds them
+        assert back.invariants(1e-9) == []
