@@ -93,3 +93,56 @@ def artifacts(tmp_path) -> dict:
 def test_cli_output_bytes_match_pinned_hashes(tmp_path):
     assert artifacts(tmp_path) == GOLDEN
 
+
+# A 64-point random 3-regular graph: matrices with few distinct values, and
+# pairs within R a small share of all pairs.  One conversion into each form.
+CONVERSIONS_64 = CONVERSIONS[:4] + [("lpt", "tail", "lp", [])] + CONVERSIONS[4:]
+
+# generated by artifacts_64() before floats were formatted once per distinct
+# value and witnesses measured on the pairs within R only
+GOLDEN_64 = {
+    "af.json": "880c706d1d0d16fa46008aaa97de86058294f27d7352e8953173657bbab5266d",
+    "af.rep.json": "f1b5064df3cbc76fbeb3d78f5ec9a40b0cb0ad4e08c8999b30cec15a49df2f9b",
+    "ker.json": "beb3316897dc50c628348e46e036986c83ae33d2e46e0b582790c2965f5e7353",
+    "ker.rep.json": "ee74c92ecdc3487f90236c634ba04bbf0588e87bbb3a1413043b3934922a6d17",
+    "lp1.json": "59579d8c3928187232f7ccc0a1f4b01f00df3f81393f111108cd375b9d339a68",
+    "lp1.rep.json": "5d87c651807a663d1de03d47f3f91fd11e4b8385eedfd82ac1e902f938e9eb3e",
+    "lp2.json": "22018cb0ae6de2b602c7e0972a5d63c8e1c61bc1966df0024fa63538cdb16d71",
+    "lp2.rep.json": "642a57ff147c7e5286f0875d1ff220c46a66fe6079cccfc1275f3f1aeb074e9c",
+    "lpt.json": "14f5f70fdf843e9716e32826bb181a1c66cd42610019da6ab2bdf73838b5e713",
+    "lpt.rep.json": "2223e451bded8729c6b5c518629fa698caac82e0f5c6cb4215921086fc643995",
+    "measure.rep.json": "0f65345c2a5c95744cbf7920e82cf1635e872ec41b1df86d191a68847fd7818e",
+    "part.json": "7b676f72662816de6ae567fc243c8d8987f4e274df5e812d18729276a23fc5ee",
+    "part.rep.json": "81e4834cd4a596cef7ccd119e0b0740f49d21cd7ed18c304ec41ee59359d81c2",
+    "rr.json": "0fb23c14281b4681c4f2dddf8365eae398327a58843619bdcb493638689b391a",
+    "tail.json": "be0dab493ad8338045e6f846c54dbb260593509e10f3153ff850c166d1c23e2e",
+    "tail.rep.json": "80464d0985bd3a5b116f5858fe24d3ec066e6f036e6723b2977486e1ee0c6989",
+    "vec.json": "4de2268141937a73c0835c84d31c3edcf0ee0a2c79e10d9bdd341aeabf391300",
+    "vec.rep.json": "e51f5c69d908dcb3fb17f8b24e982dd189544f2be9326759261b6d9b83ea96f8",
+    "w.json": "de4abffbf0c869a4521ec66a958cb7f970073bcf9eb22476c99fb39b241ee86c",
+    "w.rep.json": "5d87c651807a663d1de03d47f3f91fd11e4b8385eedfd82ac1e902f938e9eb3e",
+}
+
+
+def artifacts_64(tmp_path) -> dict:
+    runner = CliRunner()
+
+    def run(*args):
+        res = runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+
+    P = tmp_path
+    run("space", "gen", "--kind", "random-regular", "--n", 64, "--seed", 3, "--out", P / "rr.json")
+    run("witness", "build", "--space", P / "rr.json", "--kind", "ball", "--s", 2, "--r", 1,
+        "--out", P / "w.json", "--report", P / "w.rep.json")
+    for stem, src, form, extra in CONVERSIONS_64:
+        run("witness", "convert", "--in", P / f"{src}.json", "--space", P / "rr.json", "--to", form, *extra,
+            "--out", P / f"{stem}.json", "--report", P / f"{stem}.rep.json")
+    run("witness", "measure", "--in", P / "ker.json", "--space", P / "rr.json", "--r", 2,
+        "--report", P / "measure.rep.json")
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(P.iterdir())}
+
+
+def test_cli_output_bytes_match_pinned_hashes_at_64_points(tmp_path):
+    assert artifacts_64(tmp_path) == GOLDEN_64
+
