@@ -56,6 +56,11 @@ def _named_group(kind: str, n: int) -> G.FiniteGroup:
         _fail(f"cannot build {kind}({n}): {exc}")
 
 
+def _same_size(kern, sp):
+    if kern.matrix.shape[0] != sp.n:
+        _fail(f"the kernel has {kern.matrix.shape[0]} points but --space has {sp.n}")
+
+
 def _write_space(space, out, tol):
     try:
         SP.FiniteMetricSpace(space.points, space.dist, blocks=space.blocks)
@@ -256,6 +261,7 @@ def kernel(action, inp, space_path, op, other, t, alpha, tol, out):
     if space_path is None:
         _fail("--space is required for bridge")
     sp = _load(space_path, "space")
+    _same_size(kern, sp)
     rep = K.kernel_operator_bridge(kern, sp, tol=tol)
     if out:
         _dump(rep, out)
@@ -360,6 +366,11 @@ def diam(group_kind, n, r_values, eps_values, form, exact, out, csv_path):
 def embed(inp, space_path, mode, tol, csv_path, profile_path):
     """Embed a kernel and export coordinates / compression profile CSVs."""
     kern = _load(inp, "kernel")
+    if profile_path:  # check the inputs before anything is written
+        if space_path is None:
+            _fail("--space needed for a compression profile")
+        sp = _load(space_path, "space")
+        _same_size(kern, sp)
     try:
         emb = K.embed_from_kernel(kern, mode, tol)
     except ValueError as exc:
@@ -369,9 +380,6 @@ def embed(inp, space_path, mode, tol, csv_path, profile_path):
     if csv_path:
         io.embedding_to_csv(emb.coords, ids, csv_path)
     if profile_path:
-        if space_path is None:
-            _fail("--space needed for a compression profile")
-        sp = _load(space_path, "space")
         prof = SP.compression_profile(SP.PointMap(sp, None, emb.coords))
         io.profile_to_csv(prof, profile_path)
     click.echo(f"embedded {n} points into dim {emb.dimension} (clipped mass {emb.clipped_mass:.3g}, tol {tol})")

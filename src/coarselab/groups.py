@@ -501,9 +501,11 @@ def _flatten_bits(pt) -> list:
 def warp_metric(space: FiniteMetricSpace, action: GroupAction) -> FiniteMetricSpace:
     """Largest metric below d that also bounds d(x, g.x) by |g|.
 
-    Computed by single-source shortest paths over the move set {metric hop
-    at cost d(x, y), group hop to g.x at cost |g|}; this equals the chain
-    infimum over alternating metric/group hops.
+    Computed by ``scipy.sparse.csgraph`` Dijkstra from every source over the
+    one-hop matrix min(d(x, y), |g| for y = g.x); this equals the chain
+    infimum over alternating metric/group hops.  Rounding is monotone, so
+    fl(t + min(d, |g|)) = min(fl(t + d), fl(t + |g|)) and the distances are
+    those of a Dijkstra that relaxes both moves separately, bit for bit.
     """
     if action.space is not space and action.space.points != space.points:
         raise ValueError("action must act on the given space")
@@ -511,30 +513,16 @@ def warp_metric(space: FiniteMetricSpace, action: GroupAction) -> FiniteMetricSp
     for g in range(group.n):
         if g != group.identity and group.lengths[g] < 1:
             raise ValueError("zero-length non-identity generator")
-    n = space.n
-    moves = [g for g in range(group.n) if g != group.identity]
-    out = np.zeros((n, n))
-    for src in range(n):
-        dist = space.dist[src].copy()
-        heap = [(float(dist[v]), v) for v in range(n)]
-        heapq.heapify(heap)
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > dist[v]:
-                continue
-            candidates = []
-            for g in moves:
-                candidates.append((action.permutations[g][v], d + group.lengths[g]))
-            for w in range(n):
-                nd = d + space.dist[v, w]
-                if nd < dist[w]:
-                    dist[w] = nd
-                    heapq.heappush(heap, (float(nd), w))
-            for w, nd in candidates:
-                if nd < dist[w]:
-                    dist[w] = nd
-                    heapq.heappush(heap, (float(nd), w))
-        out[src] = dist
+    from scipy.sparse.csgraph import shortest_path
+
+    hop = space.dist.copy()
+    src = np.arange(space.n)
+    for g in range(group.n):
+        if g != group.identity:
+            dst = action.permutations[g]
+            hop[src, dst] = np.minimum(hop[src, dst], group.lengths[g])
+    np.fill_diagonal(hop, 0.0)
+    out = shortest_path(hop, method="D")
     out = np.minimum(out, out.T)
     return FiniteMetricSpace(list(space.points), out)
 

@@ -10,8 +10,8 @@ report`` checks beside a re-measurement for four kinds.
 
 All documents carry ``"schema": "coarselab/1"``.  Floats are emitted with 17
 significant digits (round-trip exact), keys are sorted, so identical values
-always produce identical bytes.  Arrays are written in bulk, row by row, with
-the same bytes as their ``.tolist()``.
+always produce identical bytes.  Arrays are written in bulk, each distinct
+float of a block of rows formatted once, with the same bytes as ``.tolist()``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .amenability import DiamTable
 from . import witnesses as W
 
 SCHEMA = "coarselab/1"
+_BLOCK = 8192  # array entries per block: only a block's tokens are held at once
 
 
 def _canon(value):
@@ -58,13 +59,23 @@ def _canon(value):
 
 
 def _float_text(a: np.ndarray) -> str:
-    # integral values below 1e15 as ".1f" (which keeps -0.0), all others as ".17g"
-    if a.ndim > 1:
-        return "[" + ",".join(map(_float_text, a)) + "]"
-    row = np.atleast_1d(a)
-    whole = (row == np.trunc(row)) & (np.abs(row) < 1e15)
-    text = ",".join(["%.1f" if w else "%.17g" for w in whole.tolist()]) % tuple(row.tolist())
-    return text if a.ndim == 0 else "[" + text + "]"
+    if a.ndim > 1 and len(a) > 1 and a.size > _BLOCK:  # a block of rows at a time
+        step = max(1, _BLOCK * len(a) // a.size)
+        return "[" + ",".join(_float_text(a[i:i + step])[1:-1] for i in range(0, len(a), step)) + "]"
+    # one token per distinct bit pattern (so -0.0 and 0.0 stay apart): integral
+    # values below 1e15 as ".1f" (which keeps -0.0), all others as ".17g"
+    bits, inverse = np.unique(np.ravel(a).view(np.uint64), return_inverse=True)
+    values = bits.view(np.float64)
+    whole = (values == np.trunc(values)) & (np.abs(values) < 1e15)
+    text = ",".join(["%.1f" if w else "%.17g" for w in whole.tolist()]) % tuple(values.tolist())
+    cells = np.array(text.split(","), dtype=object)[inverse].reshape(a.shape).tolist()
+    return cells if a.ndim == 0 else _nested(cells)
+
+
+def _nested(cells: list) -> str:
+    if cells and not isinstance(cells[0], str):
+        cells = map(_nested, cells)
+    return "[" + ",".join(cells) + "]"
 
 
 def dumps(obj) -> str:

@@ -158,6 +158,18 @@ def _pair_mask(space: FiniteMetricSpace, R: float) -> np.ndarray:
     return mask
 
 
+def _max_distance_within(rows, mask, **metric) -> float:
+    """Max of ``cdist(rows, rows, **metric)`` over ``mask`` (0.0 if empty), by the
+    same kernel on four rows at a time against the columns their mask touches."""
+    maxima = []
+    for start in range(0, mask.shape[0], 4):
+        block = mask[start:start + 4]
+        cols = np.flatnonzero(block.any(axis=0))
+        if cols.size:
+            maxima.append(cdist(rows[start:start + 4], rows[cols], **metric)[block[:, cols]].max())
+    return float(np.max(maxima, initial=0.0))
+
+
 def _support_radius(space, table) -> float:
     supp = np.abs(table) > SUPPORT_TOL
     if not supp.any():
@@ -179,51 +191,36 @@ def measure_witness(w, space: FiniteMetricSpace, R_target: float) -> WitnessRepo
     mask = _pair_mask(space, R_target)
     notes: dict = {}
     if isinstance(w, AFamily):
-        eps = 0.0
-        for i, j in zip(*np.nonzero(mask)):
-            if i < j:
-                eps = max(eps, _afamily_ratio(w.sets[i], w.sets[j]))
-        S = 0.0
-        for i, a in enumerate(w.sets):
-            for (y, _n) in a:
-                S = max(S, float(space.dist[i, y]))
+        pairs = list(zip(*np.nonzero(np.triu(mask))))
+        eps = max((_afamily_ratio(w.sets[i], w.sets[j]) for i, j in pairs), default=0.0)
+        S = max((float(space.dist[i, y]) for i, a in enumerate(w.sets) for y, _n in a), default=0.0)
         norm_dev = 0.0
         truncated = w.meta.get("truncated", ())
         if truncated:
-            notes["truncated_pair_count"] = sum(
-                1 for i, j in zip(*np.nonzero(mask)) if i < j and (i in truncated or j in truncated))
+            notes["truncated_pair_count"] = sum(1 for i, j in pairs if i in truncated or j in truncated)
             notes["truncated_point_count"] = len(truncated)
-            clean = [
-                _afamily_ratio(w.sets[i], w.sets[j])
-                for i, j in zip(*np.nonzero(mask))
-                if i < j and i not in truncated and j not in truncated
-            ]
-            notes["eps_measured_interior"] = max(clean) if clean else 0.0
+            notes["eps_measured_interior"] = max((_afamily_ratio(w.sets[i], w.sets[j]) for i, j in pairs
+                                                  if i not in truncated and j not in truncated), default=0.0)
     elif isinstance(w, (LpWitness, TailWitness)):
-        diffs = cdist(w.table, w.table, metric="minkowski", p=w.p)
-        eps = float(diffs[mask].max()) if mask.any() else 0.0
+        eps = _max_distance_within(w.table, mask, metric="minkowski", p=w.p)
         S = _support_radius(space, w.table)
         norms = np.linalg.norm(w.table, ord=w.p, axis=1) if w.p != 1 else w.table.sum(axis=1)
         norm_dev = float(np.abs(norms - 1.0).max())
         if isinstance(w, TailWitness):
             notes.update(_tail_masses(w, space))
     elif isinstance(w, PartitionWitness):
-        cols = w.functions.T
-        diffs = cdist(cols, cols, metric="cityblock")
-        eps = float(diffs[mask].max()) if mask.any() else 0.0
+        eps = _max_distance_within(w.functions.T, mask, metric="cityblock")
         S = _cover_diameter(space, w.cover)
         norm_dev = float(np.abs(w.functions.sum(axis=0) - 1.0).max())
     elif isinstance(w, VectorWitness):
-        diffs = cdist(w.coords, w.coords)
-        eps = float(diffs[mask].max()) if mask.any() else 0.0
+        eps = _max_distance_within(w.coords, mask)
         gram = w.coords @ w.coords.T
         off = np.abs(gram) > NORM_TOL
         np.fill_diagonal(off, False)
         S = float(space.dist[off].max()) if off.any() else 0.0
         norm_dev = float(np.abs(np.linalg.norm(w.coords, axis=1) - 1.0).max())
     elif isinstance(w, KernelWitness):
-        dev = np.abs(1.0 - w.matrix)
-        eps = float(dev[mask].max()) if mask.any() else 0.0
+        eps = float(np.abs(1.0 - w.matrix[mask]).max(initial=0.0))
         off = np.abs(w.matrix) > SUPPORT_TOL
         np.fill_diagonal(off, False)
         S = float(space.dist[off].max()) if off.any() else 0.0
@@ -330,10 +327,10 @@ def validate_witness(w, space: FiniteMetricSpace, tol: float = NORM_TOL) -> list
 # conversions
 
 
-def _measured_eps(w, space, R):
-    if R is None:
+def _measured(w, space) -> WitnessReport:
+    if w.R is None:
         raise ValueError("witness must declare a scale R for this conversion")
-    return measure_witness(w, space, R).eps_measured
+    return measure_witness(w, space, w.R)
 
 
 def afamily_to_lp(w: AFamily, space) -> LpWitness:
@@ -344,8 +341,8 @@ def afamily_to_lp(w: AFamily, space) -> LpWitness:
         for (y, _n) in a:
             table[i, y] += 1.0
         table[i] /= len(a)
-    eps_in = _measured_eps(w, space, w.R)
-    S = measure_witness(w, space, w.R).S_measured
+    measured = _measured(w, space)
+    eps_in, S = measured.eps_measured, measured.S_measured
     return LpWitness(
         p=1,
         table=table,
@@ -365,11 +362,7 @@ def lp_change_exponent(w: LpWitness, space, q: float) -> LpWitness:
         raise ValueError("target exponent must satisfy q >= 1")
     powers = w.table**w.p
     table = powers ** (1.0 / q)
-    mask = _pair_mask(space, w.R)
-    bound = 0.0
-    if mask.any():
-        l1 = cdist(powers, powers, metric="cityblock")
-        bound = float(l1[mask].max()) ** (1.0 / q)
+    bound = _max_distance_within(powers, _pair_mask(space, w.R), metric="cityblock") ** (1.0 / q)
     return LpWitness(
         p=q,
         table=table,
@@ -392,7 +385,7 @@ def lp_to_afamily(w: LpWitness, space, M: int | None = None) -> AFamily:
     if abs(w.p - 1.0) > 1e-12:
         raise ValueError("set-family quantization needs an l^1 witness")
     N = int((w.table > SUPPORT_TOL).sum(axis=1).max())
-    eps_in = _measured_eps(w, space, w.R)
+    eps_in = _measured(w, space).eps_measured
     if M is None:
         if eps_in <= 0:
             raise ValueError("measured eps is zero; pass an explicit quantization constant M")
@@ -429,7 +422,7 @@ def lp_to_tail(w: LpWitness, space, delta: float = 0.5) -> TailWitness:
         delta=delta,
         point_ids=w.point_ids,
         R=w.R,
-        eps=w.eps if w.eps is not None else _measured_eps(w, space, w.R),
+        eps=w.eps if w.eps is not None else _measured(w, space).eps_measured,
         meta={"source": "lp"},
     )
 
@@ -453,7 +446,7 @@ def tail_retune(w: TailWitness, space) -> TailWitness:
     """Pass from the for-all-delta reading to a fixed delta' = min(delta, eps^p),
     recording both delta values."""
     w.check_space(space)
-    eps = w.eps if w.eps is not None else _measured_eps(w, space, w.R)
+    eps = w.eps if w.eps is not None else _measured(w, space).eps_measured
     delta_new = min(w.delta, eps**w.p)
     if delta_new <= 0:
         raise ValueError("retuned delta is not positive; eps must be positive")
@@ -484,8 +477,8 @@ def tail_to_lp(w: TailWitness, space) -> LpWitness:
         inside = space.dist[i] <= R + w.S_tail + tol
         row = np.where(inside, w.table[i], 0.0)
         table[i] = row / row.sum()
-    masses = _tail_masses(w, space)
-    eps_eff = max(_measured_eps(w, space, w.R), masses["annulus_mass_max"])
+    measured = _measured(w, space)
+    eps_eff = max(measured.eps_measured, measured.notes["annulus_mass_max"])
     return LpWitness(
         p=1,
         table=table,
@@ -506,7 +499,7 @@ def lp_to_partition(w: LpWitness, space) -> PartitionWitness:
     tol = _scaled_tol(space.dist)
     cover = tuple(frozenset(np.nonzero(space.dist[i] <= S + tol)[0].tolist()) for i in range(space.n))
     functions = w.table.T.copy()
-    eps_in = _measured_eps(w, space, w.R)
+    eps_in = _measured(w, space).eps_measured
     return PartitionWitness(
         cover=cover,
         functions=functions,
@@ -531,7 +524,7 @@ def partition_to_lp(w: PartitionWitness, space) -> LpWitness:
     table = np.zeros((space.n, space.n))
     for i, b in enumerate(bases):
         table[:, b] += w.functions[i]
-    eps_in = _measured_eps(w, space, w.R)
+    eps_in = _measured(w, space).eps_measured
     return LpWitness(
         p=1,
         table=table,
@@ -549,7 +542,7 @@ def lp_to_vector(w: LpWitness, space) -> VectorWitness:
     w.check_space(space)
     if abs(w.p - 2.0) > 1e-12:
         raise ValueError("vector form needs an l^2 witness")
-    eps_in = _measured_eps(w, space, w.R)
+    eps_in = _measured(w, space).eps_measured
     gram = w.table @ w.table.T
     off = np.abs(gram) > NORM_TOL
     np.fill_diagonal(off, False)
@@ -567,7 +560,7 @@ def lp_to_vector(w: LpWitness, space) -> VectorWitness:
 def vector_to_kernel(w: VectorWitness, space) -> KernelWitness:
     """Gram kernel of the unit vectors: 1 - k = |f(x)-f(y)|^2 / 2 < eps^2/2."""
     w.check_space(space)
-    eps_in = _measured_eps(w, space, w.R)
+    eps_in = _measured(w, space).eps_measured
     gram = w.coords @ w.coords.T
     gram = (gram + gram.T) / 2.0
     off = np.abs(gram) > NORM_TOL
@@ -608,7 +601,7 @@ def kernel_to_lp(w: KernelWitness, space, truncate: float = 0.0) -> LpWitness:
     if norms.min() <= 0:
         raise ValueError("a square-root row vanished; truncation too aggressive")
     table = np.abs(root) / norms[:, None]
-    eps_in = _measured_eps(w, space, w.R)
+    eps_in = _measured(w, space).eps_measured
     bound = 2.0 * math.sqrt(6.0 * eps_in / (1.0 - 2.0 * eps_in)) if eps_in < 0.5 else math.inf
     out = LpWitness(
         p=2,

@@ -1,16 +1,24 @@
 """Reference loops for the vectorised routines: the scalar canonical writer,
 the all-pairs BFS graph metric, the per-pair compression profile and the
 float64 triangle check, one element at a time in plain Python, and the
-every-triple associativity check that Light's test replaced.  The property
-tests compare the library against them."""
+every-triple associativity check that Light's test replaced.  Also the
+routines they replaced in turn: the row-by-row array writer, witness
+measurement on the full distance matrix and the heap Dijkstra warp.  The
+property tests compare the library against them."""
 
+import heapq
 import json
 import math
 from collections import deque
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from coarselab.spaces import FiniteMetricSpace, _scaled_tol
+from coarselab.witnesses import (
+    NORM_TOL, SUPPORT_TOL, AFamily, KernelWitness, LpWitness, PartitionWitness, TailWitness, VectorWitness,
+    WitnessReport, _afamily_ratio, _cover_diameter, _pair_mask, _support_radius, _tail_masses,
+)
 
 
 def canon(value):
@@ -103,3 +111,113 @@ def associative(table) -> bool:
     t = np.asarray(table)
     # t[t][i,j,k] = t[t[i,j],k] and take(t,t,axis=1)[i,j,k] = t[i,t[j,k]]
     return bool(np.array_equal(t[t], np.take(t, t, axis=1)))
+
+
+def float_text(a: np.ndarray) -> str:
+    """The array writer one row at a time, every entry formatted on its own."""
+    # integral values below 1e15 as ".1f" (which keeps -0.0), all others as ".17g"
+    if a.ndim > 1:
+        return "[" + ",".join(map(float_text, a)) + "]"
+    row = np.atleast_1d(a)
+    whole = (row == np.trunc(row)) & (np.abs(row) < 1e15)
+    text = ",".join(["%.1f" if w else "%.17g" for w in whole.tolist()]) % tuple(row.tolist())
+    return text if a.ndim == 0 else "[" + text + "]"
+
+
+def measure_witness(w, space: FiniteMetricSpace, R_target: float) -> WitnessReport:
+    """Exhaustively measured (eps, S, norm deviation) at scale ``R_target``,
+    with every distance of the full ``cdist`` matrix computed."""
+    w.check_space(space)
+    mask = _pair_mask(space, R_target)
+    notes: dict = {}
+    if isinstance(w, AFamily):
+        eps = 0.0
+        for i, j in zip(*np.nonzero(mask)):
+            if i < j:
+                eps = max(eps, _afamily_ratio(w.sets[i], w.sets[j]))
+        S = 0.0
+        for i, a in enumerate(w.sets):
+            for (y, _n) in a:
+                S = max(S, float(space.dist[i, y]))
+        norm_dev = 0.0
+        truncated = w.meta.get("truncated", ())
+        if truncated:
+            notes["truncated_pair_count"] = sum(
+                1 for i, j in zip(*np.nonzero(mask)) if i < j and (i in truncated or j in truncated))
+            notes["truncated_point_count"] = len(truncated)
+            clean = [
+                _afamily_ratio(w.sets[i], w.sets[j])
+                for i, j in zip(*np.nonzero(mask))
+                if i < j and i not in truncated and j not in truncated
+            ]
+            notes["eps_measured_interior"] = max(clean) if clean else 0.0
+    elif isinstance(w, (LpWitness, TailWitness)):
+        diffs = cdist(w.table, w.table, metric="minkowski", p=w.p)
+        eps = float(diffs[mask].max()) if mask.any() else 0.0
+        S = _support_radius(space, w.table)
+        norms = np.linalg.norm(w.table, ord=w.p, axis=1) if w.p != 1 else w.table.sum(axis=1)
+        norm_dev = float(np.abs(norms - 1.0).max())
+        if isinstance(w, TailWitness):
+            notes.update(_tail_masses(w, space))
+    elif isinstance(w, PartitionWitness):
+        cols = w.functions.T
+        diffs = cdist(cols, cols, metric="cityblock")
+        eps = float(diffs[mask].max()) if mask.any() else 0.0
+        S = _cover_diameter(space, w.cover)
+        norm_dev = float(np.abs(w.functions.sum(axis=0) - 1.0).max())
+    elif isinstance(w, VectorWitness):
+        diffs = cdist(w.coords, w.coords)
+        eps = float(diffs[mask].max()) if mask.any() else 0.0
+        gram = w.coords @ w.coords.T
+        off = np.abs(gram) > NORM_TOL
+        np.fill_diagonal(off, False)
+        S = float(space.dist[off].max()) if off.any() else 0.0
+        norm_dev = float(np.abs(np.linalg.norm(w.coords, axis=1) - 1.0).max())
+    elif isinstance(w, KernelWitness):
+        dev = np.abs(1.0 - w.matrix)
+        eps = float(dev[mask].max()) if mask.any() else 0.0
+        off = np.abs(w.matrix) > SUPPORT_TOL
+        np.fill_diagonal(off, False)
+        S = float(space.dist[off].max()) if off.any() else 0.0
+        norm_dev = float(np.abs(np.diag(w.matrix) - 1.0).max())
+    else:
+        raise TypeError(f"unknown witness type {type(w).__name__}")
+    return WitnessReport(
+        form=w.form,
+        R_target=R_target,
+        eps_measured=eps,
+        S_measured=S,
+        norm_deviation=norm_dev,
+        notes=notes,
+    )
+
+
+def warp_dijkstra(space, action) -> np.ndarray:
+    """The warped distances by a heap Dijkstra from each source that relaxes
+    the metric hops and the group hops separately."""
+    group = action.group
+    n = space.n
+    moves = [g for g in range(group.n) if g != group.identity]
+    out = np.zeros((n, n))
+    for src in range(n):
+        dist = space.dist[src].copy()
+        heap = [(float(dist[v]), v) for v in range(n)]
+        heapq.heapify(heap)
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > dist[v]:
+                continue
+            candidates = []
+            for g in moves:
+                candidates.append((action.permutations[g][v], d + group.lengths[g]))
+            for w in range(n):
+                nd = d + space.dist[v, w]
+                if nd < dist[w]:
+                    dist[w] = nd
+                    heapq.heappush(heap, (float(nd), w))
+            for w, nd in candidates:
+                if nd < dist[w]:
+                    dist[w] = nd
+                    heapq.heappush(heap, (float(nd), w))
+        out[src] = dist
+    return np.minimum(out, out.T)

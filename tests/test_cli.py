@@ -183,6 +183,33 @@ def test_kernel_bridge_out_writes_numpy_flags(runner, tmp_path):
 
 
 
+def _eight_point_kernel(tmp_path):
+    kern = tmp_path / "k8.json"
+    io.dump(io.kernel_to_doc(np.exp(-(cycle_space(8).dist ** 2) / 4.0)), kern)
+    return kern
+
+
+def test_kernel_bridge_rejects_a_space_of_another_size(runner, tmp_path):
+    sp, _kneg, _kpos = _kernel_inputs(runner, tmp_path)
+    out = tmp_path / "bridge.json"
+    res = invoke(runner, ["kernel", "bridge", "--in", str(_eight_point_kernel(tmp_path)), "--space", str(sp),
+                          "--out", str(out)])
+    assert res.exit_code == 1
+    assert "error: the kernel has 8 points but --space has 6" in res.output
+    assert not out.exists()
+
+
+def test_embed_profile_rejects_a_space_of_another_size(runner, tmp_path):
+    sp, _kneg, _kpos = _kernel_inputs(runner, tmp_path)
+    kern = _eight_point_kernel(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    res = invoke(runner, ["embed", "--in", str(kern), "--space", str(sp), "--mode", "positive",
+                          "--csv", str(tmp_path / "emb.csv"), "--profile", str(tmp_path / "prof.csv")])
+    assert res.exit_code == 1
+    assert "error: the kernel has 8 points but --space has 6" in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_diam_rejects_nonpositive_eps(runner, tmp_path):
     # no defect is below eps <= 0: an error line, not an LPError traceback
     out = tmp_path / "diam.json"

@@ -2,7 +2,9 @@
 against a plain enumeration, the Kazhdan primal-dual certificate, certified
 LP optima against a rational simplex, the vectorised writer, graph metric,
 compression profile, triangle check and Light's associativity test against
-their loops, and every document kind through write, read and write."""
+their loops, the distinct-value writer, witness measurement within R and
+csgraph warping against the routines they replaced, and every document kind
+through write, read and write."""
 
 import json
 import math
@@ -14,13 +16,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import pdist, squareform
 
 from coarselab import serialize
 from coarselab import spectral as SG
 from coarselab import witnesses as W
 from coarselab.amenability import diam_table
 from coarselab.exactlp import solve_lp
-from coarselab.groups import NAMED_GROUPS, FiniteGroup, cyclic_group, dihedral_group, direct_product, z2_power_group
+from coarselab.groups import (
+    NAMED_GROUPS, FiniteGroup, GroupAction, cyclic_group, dihedral_group, direct_product, warp_bruteforce, warp_metric,
+    z2_power_group,
+)
 from coarselab.kernels import Kernel, classify_kernel, kernel_operator_bridge
 from coarselab.spaces import FiniteMetricSpace, PointMap, compression_profile, cycle_space, graph_metric, path_space
 import loop_oracles as oracle
@@ -335,6 +341,110 @@ def test_light_associativity_test_matches_every_triple(group, data):
     assert not oracle.associative(table)
     with pytest.raises(ValueError, match="not associative"):
         FiniteGroup(group.elements, table, group.generators)
+
+
+# -- the distinct-value writer against the row writer ------------------------
+
+POOL = [0.0, -0.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
+        0.1, 1.5, -3.0, 7.0, 1 / 3]
+
+
+@PROPERTY
+@given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                    elements=st.sampled_from(POOL)),
+       transpose=st.booleans(), block=st.sampled_from([1, 7, serialize._BLOCK]))
+def test_distinct_value_writer_matches_row_writer(a, transpose, block):
+    if transpose:  # a strided view, which np.ravel copies
+        a = a.T
+    with mock.patch.object(serialize, "_BLOCK", block):  # small blocks split small arrays
+        assert serialize.dumps(a) == oracle.float_text(a)
+
+
+def _first_difference(got: str, want: str):
+    """None, or where two texts first differ: pytest's own diff of megabyte
+    strings would take minutes."""
+    if got == want:
+        return None
+    return next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+
+
+def test_distinct_value_writer_matches_row_writer_across_blocks():
+    rng = np.random.default_rng(7)
+    for shape in [(300, 300), (97, 13, 11), (2, 9000), (9000, 1)]:
+        a = np.where(rng.random(shape) < 0.5, rng.choice(POOL, size=shape), rng.standard_normal(shape))
+        assert _first_difference(serialize.dumps(a), oracle.float_text(a)) is None, shape
+
+
+# -- witness measurement on the pairs within R against the full matrix ------
+
+
+def _random_graph_space(n, rng):
+    """A connected graph metric: a random tree plus random edges."""
+    adj = np.zeros((n, n), dtype=int)
+    for v in range(1, n):
+        u = int(rng.integers(v))
+        adj[u, v] = adj[v, u] = 1
+    extra = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.3), 1)
+    return graph_metric(adj | extra | extra.T)
+
+
+def _unit_rows(rng, shape, p):
+    table = rng.random(shape) * (rng.random(shape) < 0.6)
+    table[:, 0] += 0.5  # no row vanishes
+    return table / np.linalg.norm(table, ord=p, axis=1, keepdims=True)
+
+
+def _random_witnesses(space, p, rng):
+    """One witness of each form with random content."""
+    n, ids = space.n, tuple(space.points)
+    members = [frozenset((int(y), 1) for y in np.flatnonzero(rng.random(n) < 0.4)) | {(i, 1)} for i in range(n)]
+    functions = rng.random((n, n)) * (rng.random((n, n)) < 0.5) + np.eye(n)
+    coords = _unit_rows(rng, (n, 3), 2.0) * rng.choice([-1.0, 1.0], size=(n, 3))
+    return [
+        W.AFamily(sets=tuple(members), point_ids=ids, meta={"truncated": frozenset(range(0, n, 3))}),
+        W.LpWitness(p=p, table=_unit_rows(rng, (n, n), p), point_ids=ids),
+        W.TailWitness(p=p, table=_unit_rows(rng, (n, n), p), S_tail=1.0, delta=0.5, point_ids=ids, R=1.0),
+        W.PartitionWitness(cover=tuple(frozenset(np.flatnonzero(f > 0).tolist()) for f in functions),
+                           functions=functions / functions.sum(axis=0), point_ids=ids),
+        W.VectorWitness(coords=coords, point_ids=ids),
+        W.KernelWitness(matrix=coords @ coords.T, point_ids=ids),
+    ]
+
+
+@PROPERTY
+@given(n=st.integers(2, 24), seed=st.integers(0, 2**16), p=st.sampled_from([1, 2, 1.5, 3]))
+def test_measure_witness_matches_full_matrix(n, seed, p):
+    rng = np.random.default_rng(seed)
+    space = _random_graph_space(n, rng)
+    for w in _random_witnesses(space, p, rng):
+        for R in (0.0, 1.0, space.diameter() + 1.0):
+            # repr is exact for floats and tells -0.0 from 0.0
+            assert repr(W.measure_witness(w, space, R)) == repr(oracle.measure_witness(w, space, R)), (w.form, R)
+
+
+# -- csgraph warping against the heap Dijkstra -------------------------------
+
+
+@PROPERTY
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**16), weight=st.sampled_from([1.0, 1.25, 2.0, 3.7]), data=st.data())
+def test_warp_metric_matches_heap_dijkstra(n, seed, weight, data):
+    rng = np.random.default_rng(seed)
+    space = FiniteMetricSpace(list(range(n)), squareform(pdist(rng.uniform(0.0, 4.0, size=(n, 2)))))
+    # Z_order acting by the powers of a random permutation, its generators weighted
+    sigma = np.array(data.draw(st.permutations(range(n))))
+    powers = [np.arange(n)]
+    while len(powers) == 1 or not np.array_equal(powers[-1], powers[0]):
+        powers.append(sigma[powers[-1]])
+    order = len(powers) - 1
+    assume(order <= 12)
+    group = cyclic_group(order)
+    if order > 1:
+        gens = sorted({1, order - 1})
+        group = FiniteGroup(group.elements, group.table, gens, generator_weights={g: weight for g in gens})
+    action = GroupAction(group, space, np.array(powers[:order]))
+    got = warp_metric(space, action).dist
+    assert got.tobytes() == oracle.warp_dijkstra(space, action).tobytes()
+    np.testing.assert_allclose(got, warp_bruteforce(space, action), rtol=0, atol=1e-12)
 
 
 # -- every document kind: write, read, write --------------------------------
