@@ -146,3 +146,35 @@ def artifacts_64(tmp_path) -> dict:
 def test_cli_output_bytes_match_pinned_hashes_at_64_points(tmp_path):
     assert artifacts_64(tmp_path) == GOLDEN_64
 
+
+
+# generated by artifacts_groups() while quotients, box kernels and the named
+# groups' tables were still built one element at a time
+GOLDEN_GROUPS = {
+    "box.json": "e8f9619e776a2ffd8a48e0547656c867dc7253c955b71c9f2c1b3bef74c7823d",
+    "d5.json": "878f30c91848d3c47d566a02894689187697d47083d3a6805da095e135cc622d",
+    "diam_d3.json": "68688f5ae06cc4aaa9a83d6994df58c4c9742e72876cfc6eb90e99d20399bab9",
+    "nowak.json": "717337fb5e48259ddbc79042cb29be8d47072fee8be88d4971e62a3ae69cd1d8",
+    "z2p3.json": "c5f7e8da7c47f9e39c7ea44a5d70fe558f7f39fcc136c87be846795ba0a2cc32",
+}
+
+
+def artifacts_groups(tmp_path) -> dict:
+    """Quotient, box-space and group documents, and a non-abelian diam table."""
+    runner = CliRunner()
+
+    def run(*args):
+        res = runner.invoke(main, [str(a) for a in args], catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+
+    P = tmp_path
+    run("space", "gen", "--kind", "box", "--base", 2, "--k", 5, "--out", P / "box.json")
+    run("space", "gen", "--kind", "nowak", "--n-max", 3, "--out", P / "nowak.json")
+    run("group", "gen", "--kind", "dihedral", "--n", 5, "--out", P / "d5.json")
+    run("group", "gen", "--kind", "z2pow", "--n", 3, "--out", P / "z2p3.json")
+    run("diam", "--group", "dihedral", "--n", 3, "--out", P / "diam_d3.json")
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(P.iterdir())}
+
+
+def test_group_documents_match_pinned_hashes(tmp_path):
+    assert artifacts_groups(tmp_path) == GOLDEN_GROUPS
