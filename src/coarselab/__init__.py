@@ -47,7 +47,6 @@ from .kernels import (
     KernelClass,
     classify_kernel,
     embed_from_kernel,
-    kernel_transform,
     schur_product,
     exp_transform,
     power_transform,
@@ -86,11 +85,9 @@ from .groups import (
     cayley_metric,
     quotient_group,
     quotient_metric,
-    box_space,
     build_box,
     box_to_kernel,
     box_to_function,
-    box_kernel_bridge,
     first_isometric_block,
     hypercube_space,
     hypercube_kernel,

@@ -40,33 +40,25 @@ class FolnerFunction:
         total = sum(vals)
         if abs(float(total) - 1.0) > 1e-9:
             raise ValueError("values must sum to one")
-        if any(float(v) < -1e-12 for v in vals):
+        floats = np.array(vals, dtype=float)
+        if (floats < -1e-12).any():
             raise ValueError("values must be nonnegative")
-        supp = [g for g, v in enumerate(vals) if float(v) > 1e-12]
-        self.S = float(max(self.group.lengths[g] for g in supp)) if supp else 0.0
+        supp = floats > 1e-12
+        self.S = float(self.group.lengths[supp].max()) if supp.any() else 0.0
         self.values = vals
 
     def as_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])
+        return np.array(self.values, dtype=float)
 
 
 def reiter_defect(group: FiniteGroup, f, R: float):
     """max over nontrivial |g| <= R of the l^1 translation defect |gf - f|,
     with (gf)(h) = f(g^-1 h).  Exact over Fractions when given Fractions."""
-    values = f.values if isinstance(f, FolnerFunction) else list(f)
-    moved = {}
-    worst = 0
-    for g in range(group.n):
-        if g == group.identity or group.lengths[g] > R + 1e-9:
-            continue
-        gi = group.inverse[g]
-        defect = sum(
-            abs(values[group.mult(gi, h)] - values[h]) for h in range(group.n)
-        )
-        moved[g] = defect
-        if defect > worst:
-            worst = defect
-    return worst
+    values = np.asarray(f.values if isinstance(f, FolnerFunction) else list(f))
+    translates = group.translates(values)
+    # the identity's defect is 0, so it may stay among the movers; Python's
+    # sum keeps a Fraction table exact, and adds floats in order
+    return max([0] + [sum(abs(translates[g] - values)) for g in np.flatnonzero(group.lengths <= R + 1e-9)])
 
 
 def optimal_folner(group: FiniteGroup, R: float, S: float, exact: bool | None = None):
@@ -259,14 +251,7 @@ def diam_table(target, R_grid, eps_grid, form: str, exact: bool | None = None) -
 def folner_to_witness(group: FiniteGroup, f: FolnerFunction) -> LpWitness:
     """Translate family xi_g = gf; its variation at scale R equals the
     Reiter defect at R by left-invariance."""
-    vals = f.as_floats()
-    table = np.zeros((group.n, group.n))
-    for g in range(group.n):
-        gi = group.inverse[g]
-        for h in range(group.n):
-            table[g, h] = vals[group.mult(gi, h)]
-    space = cayley_metric(group)
-    return LpWitness(p=1, table=table, point_ids=tuple(space.points), S=f.S)
+    return LpWitness(p=1, table=group.translates(f.as_floats()), point_ids=tuple(group.elements), S=f.S)
 
 
 def witness_to_folner(group: FiniteGroup, w: LpWitness) -> FolnerFunction:
@@ -274,27 +259,20 @@ def witness_to_folner(group: FiniteGroup, w: LpWitness) -> FolnerFunction:
     mean, so the defect is at most the worst witness variation."""
     if abs(w.p - 1.0) > 1e-12:
         raise ValueError("averaging needs an l^1 witness")
-    n = group.n
-    values = np.zeros(n)
-    for h in range(n):
-        values[h] = np.mean([w.table[g, group.mult(g, h)] for g in range(n)])
-    return FolnerFunction(group=group, values=values)
+    return FolnerFunction(group=group, values=group.average(w.table))
 
 
 def kernel_to_function(group: FiniteGroup, kernel) -> np.ndarray:
-    """Average a positive-type kernel into a positive-type function:
-    phi(h) = mean_g k(h^-1 g, g); normalization, variation and propagation
-    carry over."""
+    """Average a positive-type kernel into a positive-type function along
+    left translation, phi(h) = mean_g k(g, g h), the convention of
+    k(g, h) = phi(g^-1 h) that it inverts (``FiniteGroup.translates``) on
+    every group; normalization, variation and propagation carry over."""
     mat = np.asarray(getattr(kernel, "matrix", kernel), dtype=float)
     if mat.shape != (group.n, group.n):
         raise ValueError("kernel must be indexed by the group elements")
     if not classify_kernel(mat).positive_type:
         raise ValueError("kernel is not of positive type")
-    phi = np.empty(group.n)
-    for h in range(group.n):
-        hi = group.inverse[h]
-        phi[h] = np.mean([mat[group.mult(hi, g), g] for g in range(group.n)])
-    return phi
+    return group.average(mat)
 
 
 def growth_experiment(base: FiniteGroup, eps: float, n_range, budget: int = EXACT_GROUP_CAP) -> dict:

@@ -109,11 +109,11 @@ def space(action, kind, n, branch, depth, d, n_max, base, k, seed, tol, out, gra
     elif kind == "random-regular":
         sp = SG.random_regular_graph(n, d, seed=seed).metric_space()
     elif kind == "box":
-        group = G.cyclic_group(base**k)
+        group = _named_group("zn", base**k)
         subs = [[g for g in range(group.n) if g % (base**j) == 0] for j in range(1, k + 1)]
-        sp = G.box_space(G.QuotientChain(group, subs))
+        sp = G.build_box(G.QuotientChain(group, subs)).space
     else:  # nowak
-        sp = G.hypercube_space(G.cyclic_group(base), n_max)
+        sp = G.hypercube_space(_named_group("zn", base), n_max)
     if graph_out and kind in ("box", "nowak"):
         _fail(f"--graph-out needs a graph kind, not {kind}")
     graph = _unit_graph(sp, "the space") if graph_out else None

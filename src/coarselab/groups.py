@@ -5,14 +5,19 @@ structure and certificates."""
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import FiniteMetricSpace, lp_product, separated_union, _scaled_tol
-from .witnesses import KernelWitness, LpWitness
+from .spaces import FiniteMetricSpace, lp_product, separated_union
+from .witnesses import KernelWitness, LpWitness, measure_witness
 from .kernels import Kernel, classify_kernel
+
+# the largest order a named group is built at: its int64 multiplication
+# table then takes 1024^2 * 8 bytes = 8 MiB
+MAX_NAMED_ORDER = 1024
 
 
 class FiniteGroup:
@@ -51,19 +56,18 @@ class FiniteGroup:
         return len(self.elements)
 
     def _find_identity(self) -> int:
-        n = self.n
-        for e in range(n):
-            if np.array_equal(self.table[e], np.arange(n)) and np.array_equal(self.table[:, e], np.arange(n)):
-                return e
-        raise ValueError("no identity element in the multiplication table")
+        ids = np.arange(self.n)
+        hits = np.flatnonzero((self.table == ids).all(axis=1) & (self.table == ids[:, None]).all(axis=0))
+        if not hits.size:
+            raise ValueError("no identity element in the multiplication table")
+        return int(hits[0])
 
     def _find_inverses(self) -> np.ndarray:
-        inv = np.full(self.n, -1, dtype=int)
-        for g in range(self.n):
-            hits = np.nonzero(self.table[g] == self.identity)[0]
-            if hits.size != 1 or self.table[hits[0], g] != self.identity:
-                raise ValueError(f"element {self.elements[g]} has no two-sided inverse")
-            inv[g] = hits[0]
+        hits = self.table == self.identity
+        inv = hits.argmax(axis=1)
+        bad = (hits.sum(axis=1) != 1) | (self.table[inv, np.arange(self.n)] != self.identity)
+        if bad.any():
+            raise ValueError(f"element {self.elements[int(bad.argmax())]} has no two-sided inverse")
         return inv
 
     def _validate(self):
@@ -116,7 +120,20 @@ class FiniteGroup:
         return int(self.table[g, h])
 
     def ball(self, radius: float):
-        return [g for g in range(self.n) if self.lengths[g] <= radius + 1e-9]
+        return np.flatnonzero(self.lengths <= radius + 1e-9).tolist()
+
+    def translates(self, f) -> np.ndarray:
+        """The left translates of a function on the group, f(g^-1 h) at
+        (g, h): row g is gf, and the matrix is the invariant kernel of f.  A
+        table of Fractions stays exact."""
+        return np.asarray(f)[self.table[self.inverse, :]]
+
+    def average(self, k) -> np.ndarray:
+        """The mean of a kernel along left translation, psi(h) = mean_g
+        k(g, g h); it inverts ``translates``."""
+        gathered = np.asarray(k)[np.arange(self.n)[:, None], self.table]
+        # the mean of each contiguous row sums in the order np.mean gives a list
+        return np.ascontiguousarray(gathered.T).mean(axis=1)
 
     def __repr__(self):
         return f"FiniteGroup(n={self.n}, generators={len(self.generators)})"
@@ -125,36 +142,30 @@ class FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("order must be positive")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    if n > MAX_NAMED_ORDER:
+        raise ValueError(f"order {n} is above the cap of {MAX_NAMED_ORDER} elements")
+    r = np.arange(n)
     gens = [] if n == 1 else ([1] if n == 2 else [1, n - 1])
-    return FiniteGroup(list(range(n)), table, gens)
+    return FiniteGroup(list(range(n)), np.add.outer(r, r) % n, gens)
 
 
 def z2_power_group(k: int) -> FiniteGroup:
-    n = 1 << k
-    table = [[i ^ j for j in range(n)] for i in range(n)]
-    gens = [1 << b for b in range(k)]
-    return FiniteGroup(list(range(n)), table, gens)
+    if k > math.log2(MAX_NAMED_ORDER):
+        raise ValueError(f"order 2^{k} is above the cap of {MAX_NAMED_ORDER} elements")
+    r = np.arange(1 << k)
+    return FiniteGroup(r.tolist(), np.bitwise_xor.outer(r, r), [1 << b for b in range(k)])
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the n-gon, elements (rot, flip), generators r, r^-1, s."""
     if n < 2:
         raise ValueError("the n-gon needs n >= 2")
-    elements = [(r, f) for f in (0, 1) for r in range(n)]
-    index = {e: i for i, e in enumerate(elements)}
-
-    def mul(a, b):
-        r1, f1 = a
-        r2, f2 = b
-        if f1 == 0:
-            return ((r1 + r2) % n, f2)
-        return ((r1 - r2) % n, 1 - f2)
-
-    table = [[index[mul(a, b)] for b in elements] for a in elements]
-    gens = [index[(1, 0)], index[(n - 1, 0)], index[(0, 1)]]
-    gens = sorted(set(gens))
-    return FiniteGroup(elements, table, gens)
+    if 2 * n > MAX_NAMED_ORDER:
+        raise ValueError(f"order {2 * n} is above the cap of {MAX_NAMED_ORDER} elements")
+    # element (r, f) sits at index f n + r; (r, f)(r', f') = (r + (-1)^f r', f xor f')
+    r, f = np.tile(np.arange(n), 2), np.repeat([0, 1], n)
+    table = (f[:, None] ^ f) * n + (r[:, None] + (1 - 2 * f[:, None]) * r) % n
+    return FiniteGroup(list(zip(r.tolist(), f.tolist())), table, sorted({1, n - 1, n}))
 
 
 # the groups the CLI and its documents name: kind -> constructor of the size parameter
@@ -163,13 +174,10 @@ NAMED_GROUPS = {"zn": cyclic_group, "z2pow": z2_power_group, "dihedral": dihedra
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Direct product with the union generating set (l^1 word metric)."""
-    elements = [(x, y) for x in a.elements for y in b.elements]
+    elements = list(itertools.product(a.elements, b.elements))
     nb = b.n
-    table = np.empty((a.n * nb, a.n * nb), dtype=int)
-    for i in range(a.n):
-        for j in range(b.n):
-            row = i * nb + j
-            table[row] = (a.table[i][:, None] * nb + b.table[j][None, :]).reshape(-1)
+    # (i, j)(i', j') = (i i', j j') with (i, j) at index i nb + j
+    table = (a.table[:, None, :, None] * nb + b.table[None, :, None, :]).reshape(a.n * nb, a.n * nb)
     gens = [s * nb + b.identity for s in a.generators] + [a.identity * nb + s for s in b.generators]
     return FiniteGroup(elements, table, gens)
 
@@ -183,9 +191,7 @@ def group_power(g: FiniteGroup, n: int) -> FiniteGroup:
 
 def cayley_metric(group: FiniteGroup) -> FiniteMetricSpace:
     """Left-invariant word metric d(g, h) = |g^-1 h|."""
-    inv = group.inverse
-    dist = group.lengths[group.table[inv, :]]
-    return FiniteMetricSpace(list(group.elements), dist)
+    return FiniteMetricSpace(list(group.elements), group.translates(group.lengths))
 
 
 @dataclass
@@ -197,20 +203,16 @@ class GroupAction:
     permutations: np.ndarray  # shape (|G|, n): permutations[g][x] = g.x
 
     def __post_init__(self):
-        self.permutations = np.asarray(self.permutations, dtype=int)
-        if self.permutations.shape != (self.group.n, self.space.n):
+        perms = self.permutations = np.asarray(self.permutations, dtype=int)
+        if perms.shape != (self.group.n, self.space.n):
             raise ValueError("need one permutation per group element")
-        ident = self.permutations[self.group.identity]
-        if not np.array_equal(ident, np.arange(self.space.n)):
+        if not np.array_equal(perms[self.group.identity], np.arange(self.space.n)):
             raise ValueError("identity must act trivially")
-        for g in range(self.group.n):
-            if len(set(self.permutations[g].tolist())) != self.space.n:
-                raise ValueError("each element must act by a permutation")
-            for h in range(self.group.n):
-                gh = self.group.mult(g, h)
-                composed = self.permutations[g][self.permutations[h]]
-                if not np.array_equal(composed, self.permutations[gh]):
-                    raise ValueError("action is not a homomorphism")
+        if (np.sort(perms, axis=1) != np.arange(self.space.n)).any():
+            raise ValueError("each element must act by a permutation")
+        # g.(h.x) = (g h).x for every pair, as two |G| x |G| x n gathers
+        if not np.array_equal(perms[:, perms], perms[self.group.table]):
+            raise ValueError("action is not a homomorphism")
 
 
 @dataclass
@@ -222,13 +224,12 @@ class QuotientChain:
     intersection: frozenset = field(init=False)
 
     def __post_init__(self):
-        self.subgroups = [frozenset(int(x) for x in k) for k in self.subgroups]
+        self.subgroups = [frozenset(map(int, k)) for k in self.subgroups]
         if not self.subgroups:
             raise ValueError("chain must be nonempty")
         prev = None
         for k in self.subgroups:
-            _check_subgroup(self.group, k)
-            _check_normal(self.group, k)
+            _normal_subgroup(self.group, k)
             if prev is not None and not k <= prev:
                 raise ValueError("chain is not decreasing")
             prev = k
@@ -238,57 +239,47 @@ class QuotientChain:
         self.intersection = frozenset(inter)
 
 
-def _check_subgroup(group: FiniteGroup, members: frozenset):
-    if group.identity not in members:
+def _normal_subgroup(group: FiniteGroup, members) -> np.ndarray:
+    """The sorted members, once one membership mask shows that they form a
+    normal subgroup."""
+    members = np.fromiter(members, dtype=int)
+    if members.size and not 0 <= members.min() <= members.max() < group.n:
+        raise ValueError("subgroup element out of range")
+    inside = np.zeros(group.n, dtype=bool)
+    inside[members] = True
+    k = np.flatnonzero(inside)
+    if not inside[group.identity]:
         raise ValueError("subgroup must contain the identity")
-    for a in members:
-        if group.inverse[a] not in members:
-            raise ValueError("subgroup not closed under inverses")
-        for b in members:
-            if group.mult(a, b) not in members:
-                raise ValueError("subgroup not closed under multiplication")
-
-
-def _check_normal(group: FiniteGroup, members: frozenset):
-    for g in range(group.n):
-        gi = group.inverse[g]
-        for k in members:
-            if group.mult(group.mult(g, k), gi) not in members:
-                raise ValueError(f"subgroup is not normal (conjugate of {group.elements[k]} escapes)")
+    if not inside[group.inverse[k]].all():
+        raise ValueError("subgroup not closed under inverses")
+    if not inside[group.table[np.ix_(k, k)]].all():
+        raise ValueError("subgroup not closed under multiplication")
+    # g k g^-1 for every element g (rows) and member k (columns)
+    escapes = ~inside[group.table[group.table[:, k], group.inverse[:, None]]]
+    if escapes.any():
+        member = k[np.argwhere(escapes)[0, 1]]
+        raise ValueError(f"subgroup is not normal (conjugate of {group.elements[member]} escapes)")
+    return k
 
 
 def quotient_group(group: FiniteGroup, subgroup) -> tuple:
     """Quotient by a normal subgroup; returns (quotient, projection array).
 
-    Quotient generators are the images of the generators; the quotient word
-    length then equals the minimum lift length, attained by some lift.
+    Cosets are numbered in the order of their least elements and named
+    after them.  Quotient generators are the images of the generators; the
+    quotient word length then equals the minimum lift length, attained by
+    some lift.
     """
-    members = frozenset(int(x) for x in subgroup)
-    _check_subgroup(group, members)
-    _check_normal(group, members)
-    coset_of = {}
-    cosets = []
-    for g in range(group.n):
-        if g in coset_of:
-            continue
-        coset = frozenset(group.mult(g, k) for k in members)
-        idx = len(cosets)
-        cosets.append(coset)
-        for h in coset:
-            coset_of[h] = idx
-    m = len(cosets)
-    reps = [min(c) for c in cosets]
-    table = [[coset_of[group.mult(reps[i], reps[j])] for j in range(m)] for i in range(m)]
-    projection = np.array([coset_of[g] for g in range(group.n)], dtype=int)
-    identity_coset = coset_of[group.identity]
-    gens = sorted({coset_of[s] for s in group.generators} - {identity_coset})
-    labels = [f"c{sorted(c)[0]}" for c in cosets]
-    quot = FiniteGroup(labels, table, gens)
+    k = _normal_subgroup(group, subgroup)
+    reps, projection = np.unique(group.table[:, k].min(axis=1), return_inverse=True)
+    table = projection[group.table[np.ix_(reps, reps)]]
+    gens = np.setdiff1d(projection[group.generators], projection[group.identity])
+    quot = FiniteGroup(list(map("c{}".format, reps.tolist())), table, gens.tolist())
     # the quotient length must be the minimum lift length, and attained
-    for c in range(m):
-        lift_min = min(group.lengths[g] for g in range(group.n) if projection[g] == c)
-        if abs(lift_min - quot.lengths[c]) > 1e-9:
-            raise ValueError("quotient word length does not match the minimal lift length")
+    lift_min = np.full(quot.n, math.inf)
+    np.minimum.at(lift_min, projection, group.lengths)
+    if np.abs(lift_min - quot.lengths).max() > 1e-9:
+        raise ValueError("quotient word length does not match the minimal lift length")
     return quot, projection
 
 
@@ -296,11 +287,8 @@ def quotient_metric(group: FiniteGroup, subgroup) -> FiniteMetricSpace:
     """Left-invariant metric on the cosets; the quotient map is contractive."""
     quot, projection = quotient_group(group, subgroup)
     space = cayley_metric(quot)
-    ambient = cayley_metric(group)
-    for g in range(group.n):
-        for h in range(group.n):
-            if space.dist[projection[g], projection[h]] > ambient.dist[g, h] + 1e-9:
-                raise ValueError("quotient map failed to be contractive")
+    if (space.dist[np.ix_(projection, projection)] > cayley_metric(group).dist + 1e-9).any():
+        raise ValueError("quotient map failed to be contractive")
     return space
 
 
@@ -331,25 +319,16 @@ def build_box(chain: QuotientChain, rule: str = "max-diam-plus-1") -> BoxSpace:
     return BoxSpace(space=space, quotients=quotients, projections=projections, chain=chain, block_slices=slices)
 
 
-def box_space(chain: QuotientChain, rule: str = "max-diam-plus-1") -> FiniteMetricSpace:
-    """Disjoint union of the chain's quotients, blocks kept further apart
-    than the larger of their diameters."""
-    return build_box(chain, rule=rule).space
-
-
 def first_isometric_block(box: BoxSpace, radius: float) -> int:
     """First chain index from which every quotient map is isometric on the
     closed ``radius`` ball of the base group."""
     group = box.chain.group
     ball = group.ball(radius)
+    base = group.translates(group.lengths)[np.ix_(ball, ball)]
     ok = []
-    for q, pr in zip(box.quotients, box.projections):
-        qdist = cayley_metric(q).dist
-        base = cayley_metric(group).dist
-        good = all(
-            abs(qdist[pr[g], pr[h]] - base[g, h]) <= 1e-9 for g in ball for h in ball
-        )
-        ok.append(good)
+    for (lo, hi), pr in zip(box.block_slices, box.projections):
+        lifted = box.space.dist[lo:hi, lo:hi][np.ix_(pr[ball], pr[ball])]
+        ok.append(np.abs(lifted - base).max(initial=0.0) <= 1e-9)
     for n in range(len(ok)):
         if all(ok[n:]):
             return n
@@ -370,48 +349,29 @@ def box_to_kernel(box: BoxSpace, phi, R: float | None = None) -> KernelWitness:
         raise ValueError("phi must be a value table over the base group")
     if abs(phi[group.identity] - 1.0) > 1e-9:
         raise ValueError("phi must be normalized (value 1 at the identity)")
-    induced = phi[group.table[group.inverse, :]]
-    if not classify_kernel(induced).positive_type:
+    if not classify_kernel(group.translates(phi)).positive_type:
         raise ValueError("phi is not of positive type on the base group")
     support = np.nonzero(np.abs(phi) > 1e-12)[0]
     S = float(group.lengths[support].max()) if support.size else 0.0
     N = first_isometric_block(box, S)
     ball = group.ball(S)
-    n_pts = box.space.n
-    k = np.zeros((n_pts, n_pts))
-    for bi, ((lo_i, hi_i), qi, pri) in enumerate(zip(box.block_slices, box.quotients, box.projections)):
-        for bj, (lo_j, hi_j) in enumerate(box.block_slices):
-            if bi < N and bj < N:
-                k[lo_i:hi_i, lo_j:hi_j] = 1.0
-            elif bi == bj and bi >= N:
-                qdist = cayley_metric(qi).dist
-                lift_of = {}
-                for g in ball:
-                    lift_of.setdefault(int(pri[g]), []).append(g)
-                for a in range(qi.n):
-                    for b in range(qi.n):
-                        if qdist[a, b] <= S + 1e-9:
-                            target = qi.mult(int(qi.inverse[a]), b)
-                            lifts = [g for g in lift_of.get(target, [])]
-                            if len(lifts) != 1:
-                                raise ValueError("short lift is not unique; isometric index computation failed")
-                            k[lo_i + a, lo_j + b] = phi[lifts[0]]
-    eps = None
-    if R is not None:
-        mask = box.space.dist <= R + _scaled_tol(box.space.dist)
-        np.fill_diagonal(mask, False)
-        eps = float(np.abs(1.0 - k[mask]).max()) if mask.any() else 0.0
-    off = np.abs(k) > 1e-12
-    np.fill_diagonal(off, False)
-    prop = float(box.space.dist[off].max()) if off.any() else 0.0
-    return KernelWitness(
-        matrix=k,
-        point_ids=tuple(box.space.points),
-        R=R,
-        eps=eps,
-        S=prop,
-        meta={"isometric_from_block": N, "support_radius": S},
-    )
+    k = np.zeros((box.space.n, box.space.n))
+    early = box.block_slices[N - 1][1] if N else 0
+    k[:early, :early] = 1.0
+    for (lo, hi), q, pr in zip(box.block_slices[N:], box.quotients[N:], box.projections[N:]):
+        # phi moves to each coset within S of the identity through its one
+        # lift in the S-ball; every other coset has no lift there
+        if (np.bincount(pr[ball], minlength=q.n)[q.lengths <= S + 1e-9] != 1).any():
+            raise ValueError("short lift is not unique; isometric index computation failed")
+        on_quotient = np.zeros(q.n)
+        on_quotient[pr[ball]] = phi[ball]
+        k[lo:hi, lo:hi] = q.translates(on_quotient)
+    kw = KernelWitness(matrix=k, point_ids=tuple(box.space.points), R=R,
+                       meta={"isometric_from_block": N, "support_radius": S})
+    measured = measure_witness(kw, box.space, 0.0 if R is None else R)
+    kw.eps = None if R is None else measured.eps_measured
+    kw.S = measured.S_measured
+    return kw
 
 
 def box_to_function(box: BoxSpace, kernel, block_index: int) -> np.ndarray:
@@ -423,28 +383,10 @@ def box_to_function(box: BoxSpace, kernel, block_index: int) -> np.ndarray:
     mat = np.asarray(getattr(kernel, "matrix", kernel), dtype=float)
     q = box.quotients[block_index]
     lo, hi = box.block_slices[block_index]
-    block = mat[lo:hi, lo:hi]
-    psi = np.empty(q.n)
-    for f in range(q.n):
-        psi[f] = np.mean([block[g, q.mult(g, f)] for g in range(q.n)])
-    induced = psi[q.table[q.inverse, :]]
-    if not classify_kernel(induced).positive_type:
+    psi = q.average(mat[lo:hi, lo:hi])
+    if not classify_kernel(q.translates(psi)).positive_type:
         raise ValueError("averaged function lost positive type; kernel input was invalid")
     return psi
-
-
-def box_kernel_bridge(direction: str, **data):
-    """Dispatch between the two box-space averaging passages.
-
-    ``to_kernel`` spreads a base-group positive-type function over the box
-    (data: box, phi, optional R); ``to_function`` averages a box kernel over
-    one quotient block (data: box, kernel, block_index).
-    """
-    if direction == "to_kernel":
-        return box_to_kernel(data["box"], data["phi"], data.get("R"))
-    if direction == "to_function":
-        return box_to_function(data["box"], data["kernel"], data["block_index"])
-    raise ValueError(f"unknown bridge direction {direction!r}")
 
 
 def hypercube_space(base: FiniteGroup, n_max: int) -> FiniteMetricSpace:
@@ -510,17 +452,15 @@ def warp_metric(space: FiniteMetricSpace, action: GroupAction) -> FiniteMetricSp
     if action.space is not space and action.space.points != space.points:
         raise ValueError("action must act on the given space")
     group = action.group
-    for g in range(group.n):
-        if g != group.identity and group.lengths[g] < 1:
-            raise ValueError("zero-length non-identity generator")
+    movers = np.arange(group.n) != group.identity
+    if (group.lengths[movers] < 1).any():
+        raise ValueError("zero-length non-identity generator")
     from scipy.sparse.csgraph import shortest_path
 
     hop = space.dist.copy()
-    src = np.arange(space.n)
-    for g in range(group.n):
-        if g != group.identity:
-            dst = action.permutations[g]
-            hop[src, dst] = np.minimum(hop[src, dst], group.lengths[g])
+    dst = action.permutations[movers]
+    src = np.broadcast_to(np.arange(space.n), dst.shape)
+    np.minimum.at(hop, (src, dst), np.broadcast_to(group.lengths[movers, None], dst.shape))
     np.fill_diagonal(hop, 0.0)
     out = shortest_path(hop, method="D")
     out = np.minimum(out, out.T)
@@ -533,14 +473,7 @@ def warp_bruteforce(space: FiniteMetricSpace, action: GroupAction, max_steps: in
     One hop from x to y costs min over g of |g| + d(g.x, y) (identity hops
     included); chains of at most k hops are the k-th min-plus power.
     """
-    group = action.group
-    n = space.n
-    hop = np.full((n, n), math.inf)
-    for g in range(group.n):
-        cost = group.lengths[g]
-        perm = action.permutations[g]
-        moved = space.dist[perm, :]
-        hop = np.minimum(hop, cost + moved)
+    hop = (action.group.lengths[:, None, None] + space.dist[action.permutations, :]).min(axis=0)
     if max_steps is None:
         max_steps = int(math.ceil(space.diameter())) + 1
     best = hop.copy()
@@ -590,8 +523,6 @@ def warped_witness(space: FiniteMetricSpace, action: GroupAction, folner_values,
     )
     if base.R is not None:
         # direct measurement at the warped scale replaces the proof's 1/N bookkeeping
-        from .witnesses import measure_witness
-
         out.eps = measure_witness(out, warped, base.R).eps_measured
         out.meta["warped_variation"] = out.eps
     return out

@@ -224,21 +224,6 @@ def ce_sum(kernel_list, space: FiniteMetricSpace | None = None, tol: float = PSD
     return Kernel(matrix=out), report
 
 
-def kernel_transform(k, op: str, **params) -> Kernel:
-    """Dispatcher over the supported kernel transforms."""
-    if op == "schur":
-        return schur_product(k, params["other"], params.get("tol", PSD_TOL))
-    if op == "exp":
-        return exp_transform(k, params["t"], params.get("tol", PSD_TOL))
-    if op == "power":
-        return power_transform(k, params["alpha"], params.get("tol", PSD_TOL))
-    if op == "gaussian":
-        return gaussian_from_embedding(params["embedding"], params["t"])
-    if op == "ce_sum":
-        return ce_sum(params["kernels"], params.get("space"), params.get("tol", PSD_TOL))[0]
-    raise ValueError(f"unknown kernel transform {op!r}")
-
-
 def kernel_decay_table(k, space: FiniteMetricSpace) -> list:
     """Per-threshold decay sup{|k(x,y)| : d(x,y) >= s} over distinct distances.
 

@@ -3,7 +3,10 @@ the all-pairs BFS graph metric, the per-pair compression profile and the
 float64 triangle check, one element at a time in plain Python, and the
 every-triple associativity check that Light's test replaced.  Also the
 routines they replaced in turn: the row-by-row array writer, witness
-measurement on the full distance matrix and the heap Dijkstra warp.  The
+measurement on the full distance matrix and the heap Dijkstra warp.  Last,
+the per-element group loops that gathers on the multiplication table
+replaced: the named tables, products, identities, inverses, actions,
+subgroup checks, cosets, box kernels, averages and translates.  The
 property tests compare the library against them."""
 
 import heapq
@@ -14,6 +17,8 @@ from collections import deque
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from coarselab.groups import FiniteGroup, cayley_metric
+from coarselab.kernels import classify_kernel
 from coarselab.spaces import FiniteMetricSpace, _scaled_tol
 from coarselab.witnesses import (
     NORM_TOL, SUPPORT_TOL, AFamily, KernelWitness, LpWitness, PartitionWitness, TailWitness, VectorWitness,
@@ -221,3 +226,299 @@ def warp_dijkstra(space, action) -> np.ndarray:
                     heapq.heappush(heap, (float(nd), w))
         out[src] = dist
     return np.minimum(out, out.T)
+
+
+# -- the group loops, one element at a time ---------------------------------
+
+
+def cyclic_table(n: int):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def z2_power_table(k: int):
+    n = 1 << k
+    return [[i ^ j for j in range(n)] for i in range(n)]
+
+
+def dihedral_table(n: int):
+    """(elements, table) of the symmetries of the n-gon."""
+    elements = [(r, f) for f in (0, 1) for r in range(n)]
+    index = {e: i for i, e in enumerate(elements)}
+
+    def mul(a, b):
+        r1, f1 = a
+        r2, f2 = b
+        if f1 == 0:
+            return ((r1 + r2) % n, f2)
+        return ((r1 - r2) % n, 1 - f2)
+
+    table = [[index[mul(a, b)] for b in elements] for a in elements]
+    return elements, table
+
+
+def product_table(a, b) -> np.ndarray:
+    nb = b.n
+    table = np.empty((a.n * nb, a.n * nb), dtype=int)
+    for i in range(a.n):
+        for j in range(b.n):
+            row = i * nb + j
+            table[row] = (a.table[i][:, None] * nb + b.table[j][None, :]).reshape(-1)
+    return table
+
+
+def find_identity(group) -> int:
+    n = group.n
+    for e in range(n):
+        if np.array_equal(group.table[e], np.arange(n)) and np.array_equal(group.table[:, e], np.arange(n)):
+            return e
+    raise ValueError("no identity element in the multiplication table")
+
+
+def find_inverses(group) -> np.ndarray:
+    inv = np.full(group.n, -1, dtype=int)
+    for g in range(group.n):
+        hits = np.nonzero(group.table[g] == group.identity)[0]
+        if hits.size != 1 or group.table[hits[0], g] != group.identity:
+            raise ValueError(f"element {group.elements[g]} has no two-sided inverse")
+        inv[g] = hits[0]
+    return inv
+
+
+def ball(group, radius: float):
+    return [g for g in range(group.n) if group.lengths[g] <= radius + 1e-9]
+
+
+def check_action(group, space, permutations):
+    """``GroupAction``'s checks, every pair of elements in turn."""
+    permutations = np.asarray(permutations, dtype=int)
+    if permutations.shape != (group.n, space.n):
+        raise ValueError("need one permutation per group element")
+    ident = permutations[group.identity]
+    if not np.array_equal(ident, np.arange(space.n)):
+        raise ValueError("identity must act trivially")
+    for g in range(group.n):
+        if len(set(permutations[g].tolist())) != space.n:
+            raise ValueError("each element must act by a permutation")
+        for h in range(group.n):
+            gh = group.mult(g, h)
+            composed = permutations[g][permutations[h]]
+            if not np.array_equal(composed, permutations[gh]):
+                raise ValueError("action is not a homomorphism")
+
+
+def check_subgroup(group, members: frozenset):
+    if group.identity not in members:
+        raise ValueError("subgroup must contain the identity")
+    for a in members:
+        if group.inverse[a] not in members:
+            raise ValueError("subgroup not closed under inverses")
+        for b in members:
+            if group.mult(a, b) not in members:
+                raise ValueError("subgroup not closed under multiplication")
+
+
+def check_normal(group, members: frozenset):
+    for g in range(group.n):
+        gi = group.inverse[g]
+        for k in members:
+            if group.mult(group.mult(g, k), gi) not in members:
+                raise ValueError(f"subgroup is not normal (conjugate of {group.elements[k]} escapes)")
+
+
+def quotient_group(group, subgroup) -> tuple:
+    members = frozenset(int(x) for x in subgroup)
+    check_subgroup(group, members)
+    check_normal(group, members)
+    coset_of = {}
+    cosets = []
+    for g in range(group.n):
+        if g in coset_of:
+            continue
+        coset = frozenset(group.mult(g, k) for k in members)
+        idx = len(cosets)
+        cosets.append(coset)
+        for h in coset:
+            coset_of[h] = idx
+    m = len(cosets)
+    reps = [min(c) for c in cosets]
+    table = [[coset_of[group.mult(reps[i], reps[j])] for j in range(m)] for i in range(m)]
+    projection = np.array([coset_of[g] for g in range(group.n)], dtype=int)
+    identity_coset = coset_of[group.identity]
+    gens = sorted({coset_of[s] for s in group.generators} - {identity_coset})
+    labels = [f"c{sorted(c)[0]}" for c in cosets]
+    quot = FiniteGroup(labels, table, gens)
+    for c in range(m):
+        lift_min = min(group.lengths[g] for g in range(group.n) if projection[g] == c)
+        if abs(lift_min - quot.lengths[c]) > 1e-9:
+            raise ValueError("quotient word length does not match the minimal lift length")
+    return quot, projection
+
+
+def quotient_metric(group, subgroup) -> FiniteMetricSpace:
+    quot, projection = quotient_group(group, subgroup)
+    space = cayley_metric(quot)
+    ambient = cayley_metric(group)
+    for g in range(group.n):
+        for h in range(group.n):
+            if space.dist[projection[g], projection[h]] > ambient.dist[g, h] + 1e-9:
+                raise ValueError("quotient map failed to be contractive")
+    return space
+
+
+def first_isometric_block(box, radius: float) -> int:
+    group = box.chain.group
+    ball = group.ball(radius)
+    ok = []
+    for q, pr in zip(box.quotients, box.projections):
+        qdist = cayley_metric(q).dist
+        base = cayley_metric(group).dist
+        good = all(
+            abs(qdist[pr[g], pr[h]] - base[g, h]) <= 1e-9 for g in ball for h in ball
+        )
+        ok.append(good)
+    for n in range(len(ok)):
+        if all(ok[n:]):
+            return n
+    raise ValueError(f"no block is isometric on the radius-{radius} ball")
+
+
+def box_to_kernel(box, phi, R: float | None = None) -> KernelWitness:
+    group = box.chain.group
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (group.n,):
+        raise ValueError("phi must be a value table over the base group")
+    if abs(phi[group.identity] - 1.0) > 1e-9:
+        raise ValueError("phi must be normalized (value 1 at the identity)")
+    induced = phi[group.table[group.inverse, :]]
+    if not classify_kernel(induced).positive_type:
+        raise ValueError("phi is not of positive type on the base group")
+    support = np.nonzero(np.abs(phi) > 1e-12)[0]
+    S = float(group.lengths[support].max()) if support.size else 0.0
+    N = first_isometric_block(box, S)
+    ball = group.ball(S)
+    n_pts = box.space.n
+    k = np.zeros((n_pts, n_pts))
+    for bi, ((lo_i, hi_i), qi, pri) in enumerate(zip(box.block_slices, box.quotients, box.projections)):
+        for bj, (lo_j, hi_j) in enumerate(box.block_slices):
+            if bi < N and bj < N:
+                k[lo_i:hi_i, lo_j:hi_j] = 1.0
+            elif bi == bj and bi >= N:
+                qdist = cayley_metric(qi).dist
+                lift_of = {}
+                for g in ball:
+                    lift_of.setdefault(int(pri[g]), []).append(g)
+                for a in range(qi.n):
+                    for b in range(qi.n):
+                        if qdist[a, b] <= S + 1e-9:
+                            target = qi.mult(int(qi.inverse[a]), b)
+                            lifts = [g for g in lift_of.get(target, [])]
+                            if len(lifts) != 1:
+                                raise ValueError("short lift is not unique; isometric index computation failed")
+                            k[lo_i + a, lo_j + b] = phi[lifts[0]]
+    eps = None
+    if R is not None:
+        mask = box.space.dist <= R + _scaled_tol(box.space.dist)
+        np.fill_diagonal(mask, False)
+        eps = float(np.abs(1.0 - k[mask]).max()) if mask.any() else 0.0
+    off = np.abs(k) > 1e-12
+    np.fill_diagonal(off, False)
+    prop = float(box.space.dist[off].max()) if off.any() else 0.0
+    return KernelWitness(
+        matrix=k,
+        point_ids=tuple(box.space.points),
+        R=R,
+        eps=eps,
+        S=prop,
+        meta={"isometric_from_block": N, "support_radius": S},
+    )
+
+
+def box_to_function(box, kernel, block_index: int) -> np.ndarray:
+    mat = np.asarray(getattr(kernel, "matrix", kernel), dtype=float)
+    q = box.quotients[block_index]
+    lo, hi = box.block_slices[block_index]
+    block = mat[lo:hi, lo:hi]
+    psi = np.empty(q.n)
+    for f in range(q.n):
+        psi[f] = np.mean([block[g, q.mult(g, f)] for g in range(q.n)])
+    induced = psi[q.table[q.inverse, :]]
+    if not classify_kernel(induced).positive_type:
+        raise ValueError("averaged function lost positive type; kernel input was invalid")
+    return psi
+
+
+def warp_bruteforce(space, action, max_steps=None) -> np.ndarray:
+    """The min-plus chain oracle with its one-hop matrix built one group
+    element at a time."""
+    group = action.group
+    n = space.n
+    hop = np.full((n, n), math.inf)
+    for g in range(group.n):
+        cost = group.lengths[g]
+        perm = action.permutations[g]
+        moved = space.dist[perm, :]
+        hop = np.minimum(hop, cost + moved)
+    if max_steps is None:
+        max_steps = int(math.ceil(space.diameter())) + 1
+    best = hop.copy()
+    np.fill_diagonal(best, 0.0)
+    for _ in range(max_steps):
+        nxt = np.min(best[:, :, None] + hop[None, :, :], axis=1)
+        nxt = np.minimum(nxt, best)
+        if np.allclose(nxt, best, atol=1e-12):
+            break
+        best = nxt
+    return best
+
+
+def folner_support(group, vals) -> float:
+    """``FolnerFunction``'s sign check and support radius."""
+    if any(float(v) < -1e-12 for v in vals):
+        raise ValueError("values must be nonnegative")
+    supp = [g for g, v in enumerate(vals) if float(v) > 1e-12]
+    return float(max(group.lengths[g] for g in supp)) if supp else 0.0
+
+
+def reiter_defect(group, values, R: float):
+    moved = {}
+    worst = 0
+    for g in range(group.n):
+        if g == group.identity or group.lengths[g] > R + 1e-9:
+            continue
+        gi = group.inverse[g]
+        defect = sum(
+            abs(values[group.mult(gi, h)] - values[h]) for h in range(group.n)
+        )
+        moved[g] = defect
+        if defect > worst:
+            worst = defect
+    return worst
+
+
+def folner_to_witness(group, vals) -> np.ndarray:
+    """The translate table of ``folner_to_witness``."""
+    table = np.zeros((group.n, group.n))
+    for g in range(group.n):
+        gi = group.inverse[g]
+        for h in range(group.n):
+            table[g, h] = vals[group.mult(gi, h)]
+    return table
+
+
+def witness_to_folner(group, table) -> np.ndarray:
+    """The averaged values of ``witness_to_folner``."""
+    n = group.n
+    values = np.zeros(n)
+    for h in range(n):
+        values[h] = np.mean([table[g, group.mult(g, h)] for g in range(n)])
+    return values
+
+
+def kernel_to_function(group, mat) -> np.ndarray:
+    """mean_g k(h^-1 g, g): the conjugation average of phi on a non-abelian
+    group, phi itself on an abelian one."""
+    phi = np.empty(group.n)
+    for h in range(group.n):
+        hi = group.inverse[h]
+        phi[h] = np.mean([mat[group.mult(hi, g), g] for g in range(group.n)])
+    return phi

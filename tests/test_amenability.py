@@ -10,6 +10,8 @@ from coarselab import (
     classify_kernel,
     cyclic_group,
     diam_table,
+    dihedral_group,
+    direct_product,
     folner_to_witness,
     growth_experiment,
     kernel_to_function,
@@ -169,6 +171,24 @@ def test_kernel_to_function_random_positive(rng):
             )
             fun_var = max(abs(1.0 - phi[g]) for g in range(4) if 0 < z22.lengths[g] <= R)
             assert fun_var <= kern_var + 1e-12
+
+
+def right_regular_phi(group, rng):
+    """phi(g) = <v, v(. g)> / |v|^2 for a random v: normalized and of positive
+    type, as phi(g^-1 h) = <v(. g), v(. h)> / |v|^2 is a Gram matrix."""
+    v = rng.standard_normal(group.n)
+    return v @ v[group.table] / (v @ v)
+
+
+@pytest.mark.parametrize("group", [dihedral_group(3), direct_product(dihedral_group(3), cyclic_group(2))],
+                         ids=["D3", "D3xZ2"])
+def test_kernel_to_function_inverts_left_translation(group, rng):
+    # on a non-abelian group the k(h^-1 g, g) convention gives the average of
+    # phi over conjugates instead of phi
+    for _ in range(10):
+        phi = right_regular_phi(group, rng)
+        kernel = phi[group.table[group.inverse, :]]  # k(g, h) = phi(g^-1 h)
+        np.testing.assert_allclose(kernel_to_function(group, kernel), phi, rtol=0, atol=1e-12)
 
 
 def test_kernel_to_function_preserves_propagation():

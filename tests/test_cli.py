@@ -110,6 +110,20 @@ def test_group_diam_and_kazhdan(runner, tmp_path):
     assert "expansion_ok=True" in res.output
 
 
+def test_named_group_above_the_cap_is_an_error_line(runner, tmp_path):
+    kaz, big = tmp_path / "kaz.json", tmp_path / "big.json"
+    assert invoke(runner, ["spectral", "kazhdan", "--group", "z2pow", "--n", "2", "--out", str(kaz)]).exit_code == 0
+    big.write_text(json.dumps({**json.loads(kaz.read_text()), "n": 40}))
+    for argv in (["group", "gen", "--kind", "z2pow", "--n", "40", "--out", str(tmp_path / "g.json")],
+                 ["spectral", "kazhdan", "--group", "dihedral", "--n", "513"],
+                 ["diam", "--group", "zn", "--n", "1025"],
+                 ["space", "gen", "--kind", "box", "--base", "2", "--k", "11", "--out", str(tmp_path / "b.json")],
+                 ["report", "--in", str(big)]):
+        res = invoke(runner, argv)
+        assert res.exit_code == 1 and "is above the cap of 1024 elements" in res.output, (argv, res.output)
+    assert not (tmp_path / "g.json").exists() and not (tmp_path / "b.json").exists()
+
+
 def test_kernel_commands(runner, tmp_path):
     sq = tmp_path / "sq.json"
     io.dump(io.kernel_to_doc(np.array([[0.0, 1, 4], [1, 0, 1], [4, 1, 0]])), sq)

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from coarselab import groups
 from coarselab import (
     FiniteGroup,
     GroupAction,
@@ -15,6 +18,7 @@ from coarselab import (
     dihedral_group,
     direct_product,
     first_isometric_block,
+    group_power,
     hypercube_kernel,
     hypercube_space,
     measure_witness,
@@ -61,6 +65,18 @@ def test_group_validation():
         FiniteGroup(list(range(4)), [[i ^ j for j in range(4)] for i in range(4)], [1])
 
 
+def test_named_groups_are_capped_before_building():
+    assert groups.MAX_NAMED_ORDER >= 1024
+    with mock.patch.object(groups, "FiniteGroup", side_effect=AssertionError("built")):
+        for build, n in ((cyclic_group, groups.MAX_NAMED_ORDER + 1), (z2_power_group, 80),
+                         (dihedral_group, groups.MAX_NAMED_ORDER // 2 + 1)):
+            with pytest.raises(ValueError, match="above the cap"):
+                build(n)
+    # the direct powers of the growth shadow still build
+    assert [g.n for g in (z2_power_group(9), group_power(cyclic_group(3), 5), group_power(dihedral_group(3), 3))] \
+        == [512, 243, 216]
+
+
 def test_cayley_examples():
     z4 = cyclic_group(4)
     m = cayley_metric(z4)
@@ -90,6 +106,9 @@ def test_quotient_examples():
     assert np.allclose(qt.dist, cayley_metric(z4).dist)
     with pytest.raises(ValueError, match="closed under"):
         quotient_group(z8, [0, 3])
+    for members in ([0, -4], [0, 8]):
+        with pytest.raises(ValueError, match="out of range"):
+            quotient_group(z8, members)
     d4 = dihedral_group(4)
     rot = [i for i, e in enumerate(d4.elements) if e[1] == 0]
     refl = [i for i, e in enumerate(d4.elements) if e == (0, 0) or e == (0, 1)]
@@ -147,13 +166,6 @@ def test_box_kernel_bridge_roundtrip():
     short_box = build_box(QuotientChain(z32, [[g for g in range(32) if g % 2 == 0], [g for g in range(32) if g % 4 == 0]]))
     with pytest.raises(ValueError, match="no block is isometric"):
         first_isometric_block(short_box, 100.0)
-    # the named dispatcher surfaces the same constructions
-    from coarselab import box_kernel_bridge
-
-    kw2 = box_kernel_bridge("to_kernel", box=box, phi=phi, R=1.0)
-    assert np.allclose(kw2.matrix, kw.matrix)
-    psi2 = box_kernel_bridge("to_function", box=box, kernel=kw, block_index=3)
-    assert np.allclose(psi2, box_to_function(box, kw, 3))
 
 
 def test_hypercube_space():

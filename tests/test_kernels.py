@@ -14,7 +14,6 @@ from coarselab import (
     gaussian_from_embedding,
     kernel_decay_table,
     kernel_operator_bridge,
-    kernel_transform,
     lp_negtype_kernel,
     lp_profile_bounds,
     lp_sequence_embedding,
@@ -132,13 +131,6 @@ def test_ce_sum_growth_and_type():
     assert report["truncation_index"] == 3
     decay = kernel_decay_table(kernels[0], sp)
     assert decay[-1][1] <= decay[0][1] + 1e-12
-
-
-def test_kernel_transform_dispatch():
-    out = kernel_transform(SQ_LINE, "exp", t=0.5)
-    assert classify_kernel(out.matrix).positive_type
-    with pytest.raises(ValueError, match="unknown kernel transform"):
-        kernel_transform(SQ_LINE, "nope")
 
 
 def test_lp_negtype_kernel_examples():

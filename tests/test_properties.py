@@ -3,7 +3,8 @@ against a plain enumeration, the Kazhdan primal-dual certificate, certified
 LP optima against a rational simplex, the vectorised writer, graph metric,
 compression profile, triangle check and Light's associativity test against
 their loops, the distinct-value writer, witness measurement within R and
-csgraph warping against the routines they replaced, and every document kind
+csgraph warping against the routines they replaced, the gathers on a group's
+multiplication table against the per-element loops, and every document kind
 through write, read and write."""
 
 import json
@@ -21,10 +22,13 @@ from scipy.spatial.distance import pdist, squareform
 from coarselab import serialize
 from coarselab import spectral as SG
 from coarselab import witnesses as W
-from coarselab.amenability import diam_table
 from coarselab.exactlp import solve_lp
+from coarselab.amenability import (
+    FolnerFunction, diam_table, folner_to_witness, kernel_to_function, reiter_defect, witness_to_folner,
+)
 from coarselab.groups import (
-    NAMED_GROUPS, FiniteGroup, GroupAction, cyclic_group, dihedral_group, direct_product, warp_bruteforce, warp_metric,
+    NAMED_GROUPS, FiniteGroup, GroupAction, QuotientChain, box_to_function, box_to_kernel, build_box, cayley_metric,
+    cyclic_group, dihedral_group, direct_product, quotient_group, quotient_metric, warp_bruteforce, warp_metric,
     z2_power_group,
 )
 from coarselab.kernels import Kernel, classify_kernel, kernel_operator_bridge
@@ -444,7 +448,163 @@ def test_warp_metric_matches_heap_dijkstra(n, seed, weight, data):
     action = GroupAction(group, space, np.array(powers[:order]))
     got = warp_metric(space, action).dist
     assert got.tobytes() == oracle.warp_dijkstra(space, action).tobytes()
-    np.testing.assert_allclose(got, warp_bruteforce(space, action), rtol=0, atol=1e-12)
+    brute = warp_bruteforce(space, action)
+    assert brute.tobytes() == oracle.warp_bruteforce(space, action).tobytes()
+    np.testing.assert_allclose(got, brute, rtol=0, atol=1e-12)
+
+
+# -- gathers on the multiplication table against the per-element loops -------
+
+
+def _factor_normal_subgroups(kind, n):
+    """Member lists of some normal subgroups of one factor: the subgroups of
+    a cyclic factor, and the trivial group, the whole group and the rotation
+    subgroups of a dihedral one (element (r, f) at index f n + r)."""
+    steps = [d for d in range(1, n + 1) if n % d == 0]
+    rotations = [list(range(0, n, d)) for d in steps]
+    return rotations if kind == "zn" else rotations + [list(range(2 * n))]
+
+
+@st.composite
+def normal_subgroups(draw, count=1):
+    """A direct product of cyclic and dihedral factors of order at most 64,
+    and ``count`` normal subgroups of it, each one normal subgroup per factor
+    (so a factor's kernel is among them)."""
+    factors = draw(st.lists(st.one_of(st.tuples(st.just("zn"), st.integers(1, 12)),
+                                      st.tuples(st.just("dihedral"), st.integers(2, 6))), min_size=1, max_size=3)
+                   .filter(lambda fs: math.prod(n * (1 + (kind == "dihedral")) for kind, n in fs) <= 64))
+    group = NAMED_GROUPS[factors[0][0]](factors[0][1])
+    for kind, n in factors[1:]:
+        group = direct_product(group, NAMED_GROUPS[kind](n))
+    orders = [n * (1 + (kind == "dihedral")) for kind, n in factors]
+    subgroups = []
+    for _ in range(count):
+        parts = [draw(st.sampled_from(_factor_normal_subgroups(kind, n))) for kind, n in factors]
+        index = np.ravel_multi_index(np.meshgrid(*parts, indexing="ij"), orders)
+        subgroups.append(sorted(index.ravel().tolist()))
+    return group, subgroups
+
+
+def _quotient_parts(quot, projection):
+    return quot.elements, quot.table.tobytes(), quot.generators, quot.lengths.tobytes(), projection.tobytes()
+
+
+@PROPERTY
+@given(case=normal_subgroups(), radius=st.sampled_from([0.0, 1.0, 2.5]))
+def test_quotient_gathers_match_coset_loops(case, radius):
+    group, (members,) = case
+    assert group.identity == oracle.find_identity(group)
+    assert group.inverse.tobytes() == oracle.find_inverses(group).tobytes()
+    assert group.ball(radius) == oracle.ball(group, radius)
+    got = quotient_group(group, members)
+    assert _quotient_parts(*got) == _quotient_parts(*oracle.quotient_group(group, members))
+    assert quotient_metric(group, members).dist.tobytes() == oracle.quotient_metric(group, members).dist.tobytes()
+    # an involution with the identity is a subgroup, normal only when it is central
+    flips = [g for g in range(group.n) if group.inverse[g] == g and g != group.identity]
+    for g in flips[:2]:
+        assert _outcome(lambda k: _quotient_parts(*quotient_group(group, k)), [group.identity, g]) == \
+            _outcome(lambda k: _quotient_parts(*oracle.quotient_group(group, k)), [group.identity, g])
+
+
+def _positive_type_phi(group, radius, rng):
+    """phi(g) = <v, v(. g)> / |v|^2 for a random v on the radius ball: normalized,
+    of positive type, and supported in the ball's square."""
+    v = np.where(group.lengths <= radius, rng.standard_normal(group.n), 0.0)
+    return v @ v[group.table] / (v @ v)
+
+
+@PROPERTY
+@given(case=normal_subgroups(count=3), radius=st.sampled_from([0, 1]), R=st.sampled_from([None, 1.0, 2.0]),
+       seed=st.integers(0, 2**16))
+def test_box_kernel_and_function_match_block_loops(case, radius, R, seed):
+    group, subgroups = case
+    # a decreasing chain: running intersections, ending in the trivial group
+    chain = [frozenset(subgroups[0])]
+    for k in subgroups[1:] + [[group.identity]]:
+        chain.append(chain[-1] & frozenset(k))
+    box = build_box(QuotientChain(group, chain))
+    phi = _positive_type_phi(group, radius, np.random.default_rng(seed))
+    got, want = _outcome(box_to_kernel, box, phi, R), _outcome(oracle.box_to_kernel, box, phi, R)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert (repr(got.eps), repr(got.S), got.meta, got.R) == (repr(want.eps), repr(want.S), want.meta, want.R)
+    for block in range(len(box.quotients)):
+        fn = _outcome(box_to_function, box, got, block)
+        ref = _outcome(oracle.box_to_function, box, want, block)
+        assert fn == ref if isinstance(ref, str) else fn.tobytes() == ref.tobytes()
+
+
+@PROPERTY
+@given(case=normal_subgroups(), seed=st.integers(0, 2**16), R=st.sampled_from([1.0, 2.0]))
+def test_translates_and_averages_match_element_loops(case, seed, R):
+    group, _members = case
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(group.n)) * (rng.random(group.n) < 0.5)
+    assume(weights.sum() > 0)
+    f = FolnerFunction(group=group, values=weights / weights.sum())
+    assert f.S == oracle.folner_support(group, f.values)
+    w = folner_to_witness(group, f)
+    assert w.table.tobytes() == oracle.folner_to_witness(group, f.as_floats()).tobytes()
+    noisy = replace(w, table=w.table + rng.uniform(0.0, 1e-3, w.table.shape))
+    noisy = replace(noisy, table=noisy.table / noisy.table.sum(axis=1, keepdims=True))
+    assert witness_to_folner(group, noisy).as_floats().tobytes() == \
+        oracle.witness_to_folner(group, noisy.table).tobytes()
+    assert repr(reiter_defect(group, f, R)) == repr(oracle.reiter_defect(group, f.values, R))
+    exact = [Fraction(int(k), 2 * group.n) for k in rng.integers(0, 3, group.n)]
+    exact[group.identity] += 1 - sum(exact)
+    assert reiter_defect(group, exact, R) == oracle.reiter_defect(group, exact, R)
+    # averaging inverts translation: exactly on Fractions, to rounding on floats
+    assert list(group.average(group.translates(exact))) == exact
+    phi = _positive_type_phi(group, 1, rng)
+    np.testing.assert_allclose(group.average(group.translates(phi)), phi, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(kernel_to_function(group, group.translates(phi)), phi, rtol=0, atol=1e-12)
+    if np.array_equal(group.table, group.table.T):
+        # abelian: on any kernel the old loop averaged the same terms in another order
+        rows = rng.random((group.n, 3))
+        gram = (rows @ rows.T) / np.outer(np.linalg.norm(rows, axis=1), np.linalg.norm(rows, axis=1))
+        np.testing.assert_array_max_ulp(kernel_to_function(group, gram), oracle.kernel_to_function(group, gram),
+                                        maxulp=4)
+
+
+def _verdict(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY
+@given(case=normal_subgroups(), data=st.data())
+def test_group_action_matches_pair_loop(case, data):
+    group, _members = case
+    space = cayley_metric(group)
+    perms = group.table.copy()  # left multiplication
+    assert _verdict(GroupAction, group, space, perms) is None
+    assert _verdict(oracle.check_action, group, space, perms) is None
+    # swapping the actions of two non-identity elements keeps every row a
+    # permutation, and breaks the homomorphism unless the swap is an automorphism
+    movers = [g for g in range(group.n) if g != group.identity]
+    assume(len(movers) >= 2)
+    a, b = data.draw(st.lists(st.sampled_from(movers), min_size=2, max_size=2, unique=True))
+    perms[[a, b]] = perms[[b, a]]
+    assert _verdict(GroupAction, group, space, perms) == _verdict(oracle.check_action, group, space, perms)
+
+
+def test_named_tables_and_products_match_element_loops():
+    for n in range(1, 40):
+        assert cyclic_group(n).table.tobytes() == np.array(oracle.cyclic_table(n)).tobytes()
+    for k in range(0, 7):
+        assert z2_power_group(k).table.tobytes() == np.array(oracle.z2_power_table(k)).tobytes()
+    for n in range(2, 20):
+        group = dihedral_group(n)
+        elements, table = oracle.dihedral_table(n)
+        assert group.elements == elements and group.table.tobytes() == np.array(table).tobytes()
+    for a, b in [(dihedral_group(3), cyclic_group(4)), (cyclic_group(5), dihedral_group(4)),
+                 (direct_product(cyclic_group(2), dihedral_group(3)), cyclic_group(3))]:
+        assert direct_product(a, b).table.tobytes() == oracle.product_table(a, b).tobytes()
 
 
 # -- every document kind: write, read, write --------------------------------
