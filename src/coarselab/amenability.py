@@ -11,6 +11,7 @@ agree; the tables here compute both by independent linear programs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -218,10 +219,16 @@ def diam_table(target, R_grid, eps_grid, form: str, exact: bool | None = None) -
     ``form='folner'`` needs a FiniteGroup (averaging LP); ``form='witness'``
     accepts a group (its word metric space is used) or a space, and solves
     the joint per-point LP.  Radii are scanned over the attained distance
-    values, so entries are exact integers on word metrics.
+    values, so entries are exact integers on word metrics.  The LP at (R, S)
+    does not depend on eps, so each is solved once and its optimum shared
+    across the eps grid; every scan still visits S from the smallest radius.
     """
+    if not all(math.isfinite(eps) for eps in eps_grid):
+        raise ValueError("eps must be finite")
     if any(eps <= 0 for eps in eps_grid):
         raise ValueError("eps must be positive: no defect is below eps <= 0")
+    if not all(math.isfinite(R) and R >= 0 for R in R_grid):
+        raise ValueError("R must be finite and nonnegative")
     if form == "folner":
         if not isinstance(target, FiniteGroup):
             raise ValueError("folner form needs a finite group")
@@ -235,11 +242,13 @@ def diam_table(target, R_grid, eps_grid, form: str, exact: bool | None = None) -
         exact = problem.n <= exact_cap
     radii = [float(v) for v in np.unique(distances)]
     table = DiamTable(target=repr(problem), form=form)
+    optima = {}  # (R, S) -> optimal defect
     for R in R_grid:
         for eps in eps_grid:
             for S in radii:
-                _opt, defect = solve(problem, R, S, exact=exact)
-                table.defects[(R, eps, S)] = defect
+                if (R, S) not in optima:
+                    optima[R, S] = solve(problem, R, S, exact=exact)[1]
+                defect = table.defects[(R, eps, S)] = optima[R, S]
                 if _defect_below(defect, eps):
                     table.entries[(R, eps)] = S
                     break

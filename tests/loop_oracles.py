@@ -3,10 +3,12 @@ the all-pairs BFS graph metric, the per-pair compression profile and the
 float64 triangle check, one element at a time in plain Python, and the
 every-triple associativity check that Light's test replaced.  Also the
 routines they replaced in turn: the row-by-row array writer, witness
-measurement on the full distance matrix and the heap Dijkstra warp.  Last,
+measurement on the full distance matrix and the heap Dijkstra warp.  Then
 the per-element group loops that gathers on the multiplication table
 replaced: the named tables, products, identities, inverses, actions,
-subgroup checks, cosets, box kernels, averages and translates.  The
+subgroup checks, cosets, box kernels, averages and translates.  Last, the
+separated union that re-ran the triangle check over all of its points, and
+the diam-table scan that solved one LP per (R, eps, S) visited.  The
 property tests compare the library against them."""
 
 import heapq
@@ -17,6 +19,7 @@ from collections import deque
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from coarselab.amenability import EXACT_GROUP_CAP, DiamTable, LPError, _defect_below, optimal_folner, witness_feasibility
 from coarselab.groups import FiniteGroup, cayley_metric
 from coarselab.kernels import classify_kernel
 from coarselab.spaces import FiniteMetricSpace, _scaled_tol
@@ -522,3 +525,81 @@ def kernel_to_function(group, mat) -> np.ndarray:
         hi = group.inverse[h]
         phi[h] = np.mean([mat[group.mult(hi, g), g] for g in range(group.n)])
     return phi
+
+
+def separated_union(blocks, rule: str = "max-diam-plus-1") -> FiniteMetricSpace:
+    """Disjoint union with constant cross-block distances set by ``rule``.
+
+    ``max-diam-plus-1``: cross distance of blocks i, j is the larger of their
+    diameters plus one (keeps blocks further apart than the larger diameter).
+    ``nowak``: consecutive gap between blocks n and n+1 is n+1 (1-indexed),
+    cross gaps additive along the chain.
+    """
+    blocks = list(blocks)
+    if not blocks:
+        raise ValueError("separated_union needs at least one block")
+    if len(blocks) == 1:
+        b = blocks[0]
+        return FiniteMetricSpace(b.points, b.dist, blocks=[0] * b.n)
+    diams = [b.diameter() for b in blocks]
+    m = len(blocks)
+    if rule == "max-diam-plus-1":
+        cross = [[max(diams[i], diams[j]) + 1.0 for j in range(m)] for i in range(m)]
+    elif rule == "nowak":
+        offsets = np.zeros(m)
+        for k in range(1, m):
+            offsets[k] = offsets[k - 1] + (k + 1)  # gap(k, k+1) = k+1, 1-indexed
+        cross = [[abs(offsets[i] - offsets[j]) for j in range(m)] for i in range(m)]
+    else:
+        raise ValueError(f"unknown separation rule {rule!r}")
+    points, labels = [], []
+    for bi, b in enumerate(blocks):
+        points.extend((bi, pt) for pt in b.points)
+        labels.extend([bi] * b.n)
+    n = len(points)
+    dist = np.zeros((n, n))
+    start = np.cumsum([0] + [b.n for b in blocks])
+    for i in range(m):
+        si, ei = start[i], start[i + 1]
+        dist[si:ei, si:ei] = blocks[i].dist
+        for j in range(i + 1, m):
+            sj, ej = start[j], start[j + 1]
+            dist[si:ei, sj:ej] = cross[i][j]
+            dist[sj:ej, si:ei] = cross[i][j]
+    return FiniteMetricSpace(points, dist, blocks=labels)
+
+
+def diam_table(target, R_grid, eps_grid, form: str, exact: bool | None = None) -> DiamTable:
+    """Scan S upward until the optimal defect drops below eps, per grid cell.
+
+    ``form='folner'`` needs a FiniteGroup (averaging LP); ``form='witness'``
+    accepts a group (its word metric space is used) or a space, and solves
+    the joint per-point LP.  Radii are scanned over the attained distance
+    values, so entries are exact integers on word metrics.
+    """
+    if any(eps <= 0 for eps in eps_grid):
+        raise ValueError("eps must be positive: no defect is below eps <= 0")
+    if form == "folner":
+        if not isinstance(target, FiniteGroup):
+            raise ValueError("folner form needs a finite group")
+        problem, solve, exact_cap, distances = target, optimal_folner, EXACT_GROUP_CAP, target.lengths
+    elif form == "witness":
+        problem = cayley_metric(target) if isinstance(target, FiniteGroup) else target
+        solve, exact_cap, distances = witness_feasibility, 8, problem.dist
+    else:
+        raise ValueError(f"unknown diam form {form!r}")
+    if exact is None:
+        exact = problem.n <= exact_cap
+    radii = [float(v) for v in np.unique(distances)]
+    table = DiamTable(target=repr(problem), form=form)
+    for R in R_grid:
+        for eps in eps_grid:
+            for S in radii:
+                _opt, defect = solve(problem, R, S, exact=exact)
+                table.defects[(R, eps, S)] = defect
+                if _defect_below(defect, eps):
+                    table.entries[(R, eps)] = S
+                    break
+            else:
+                raise LPError("no admissible S up to the diameter (signals a bug)")
+    return table

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from coarselab import amenability as A
 from coarselab import (
     FolnerFunction,
     cayley_metric,
@@ -93,6 +94,23 @@ def test_diam_tables_monotone():
     for group in [cyclic_group(3), z2_power_group(2)]:
         t = diam_table(group, [1, 2], [0.25, 0.5, 1.0], form="folner")
         assert t.monotone()
+
+
+@pytest.mark.parametrize("form, solver", [("folner", "optimal_folner"), ("witness", "witness_feasibility")])
+def test_diam_table_solves_each_radius_pair_once(monkeypatch, form, solver):
+    # Z4 at R in {1, 2}, eps in {1, 0.5, 0.25}: eps = 1 stops at S = 1 and
+    # the others at S = 2, so the scans visit 16 cells over 6 distinct (R, S)
+    calls = []
+    solve = getattr(A, solver)
+
+    def counted(problem, R, S, exact):
+        calls.append((R, S))
+        return solve(problem, R, S, exact=exact)
+
+    monkeypatch.setattr(A, solver, counted)
+    t = diam_table(cyclic_group(4), [1, 2], [1, 0.5, 0.25], form=form)
+    assert len(t.defects) == 16
+    assert sorted(calls) == [(R, S) for R in (1, 2) for S in (0.0, 1.0, 2.0)]
 
 
 def test_witness_feasibility_matches_folner_on_cayley():

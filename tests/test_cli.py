@@ -233,6 +233,21 @@ def test_diam_rejects_nonpositive_eps(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps", "inf", "eps must be finite"),
+    ("--eps", "nan", "eps must be finite"),
+    ("--r", "nan", "R must be finite and nonnegative"),
+    ("--r", "-1", "R must be finite and nonnegative"),
+])
+def test_diam_rejects_non_finite_grids(runner, tmp_path, flag, value, message):
+    # once an OverflowError traceback, a NaN ratio error, and S=0 tables
+    out = tmp_path / "diam.json"
+    res = invoke(runner, ["diam", "--group", "zn", "--n", "4", flag, value, "--out", str(out)])
+    assert res.exit_code == 1
+    assert f"error: {message}" in res.output
+    assert not out.exists()
+
+
 def test_diam_exact_below_the_rounding_grain(runner):
     # limit_denominator(10**6) rounds eps = 1e-7 to 0; the exact path must
     # still find the S that the float path finds.  At eps = 1e-10 the float

@@ -57,6 +57,10 @@ GOLDEN.update({
     "kaz.json": "a20560a36e278443fb94210ca7b394c6cd8870f2abd89234a78639625d752965",
     "kclass.json": "3e645eac45a8b7738d375098e4a040518cf4c86dc56d8b678e1a7c99a719b64c",
 })
+# generated by artifacts() while diam_table still solved one LP per (R, eps, S)
+GOLDEN.update({
+    "diam_w.json": "2f169e8edba4d1fdbba97b1271b47f3b83d61564c68f6a7ee2ce40c651a8b15a",
+})
 
 
 def artifacts(tmp_path) -> dict:
@@ -87,6 +91,8 @@ def artifacts(tmp_path) -> dict:
         "--out", P / "exps.json")
     run("spectral", "kazhdan", "--group", "dihedral", "--n", 4, "--out", P / "kaz.json")
     run("diam", "--group", "zn", "--n", 4, "--r", 1, "--r", 2, "--eps", 0.5, "--eps", 0.25, "--out", P / "diam.json")
+    run("diam", "--group", "zn", "--n", 4, "--form", "witness", "--r", 1, "--r", 2, "--eps", 1, "--eps", 0.5,
+        "--eps", 0.25, "--out", P / "diam_w.json")
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(P.iterdir())}
 
 

@@ -4,9 +4,12 @@ LP optima against a rational simplex, the vectorised writer, graph metric,
 compression profile, triangle check and Light's associativity test against
 their loops, the distinct-value writer, witness measurement within R and
 csgraph warping against the routines they replaced, the gathers on a group's
-multiplication table against the per-element loops, and every document kind
-through write, read and write."""
+multiplication table against the per-element loops, the block-level triangle
+check of separated unions against the full one, diam tables sharing each
+(R, S) optimum against the per-eps scan, and every document kind through
+write, read and write."""
 
+import ast
 import json
 import math
 from dataclasses import replace
@@ -32,7 +35,10 @@ from coarselab.groups import (
     z2_power_group,
 )
 from coarselab.kernels import Kernel, classify_kernel, kernel_operator_bridge
-from coarselab.spaces import FiniteMetricSpace, PointMap, compression_profile, cycle_space, graph_metric, path_space
+from coarselab.spaces import (
+    FiniteMetricSpace, PointMap, _scaled_tol, complete_space, compression_profile, cycle_space, graph_metric,
+    hypercube_space_graph, path_space, separated_union,
+)
 import loop_oracles as oracle
 from lp_oracle import solve_exact
 
@@ -605,6 +611,78 @@ def test_named_tables_and_products_match_element_loops():
     for a, b in [(dihedral_group(3), cyclic_group(4)), (cyclic_group(5), dihedral_group(4)),
                  (direct_product(cyclic_group(2), dihedral_group(3)), cyclic_group(3))]:
         assert direct_product(a, b).table.tobytes() == oracle.product_table(a, b).tobytes()
+
+
+# -- separated unions: the block-level triangle check against the full one --
+
+
+@st.composite
+def union_blocks(draw):
+    """Graph metrics, single points, empty blocks and planar point sets,
+    scaled so that some diameters outgrow a nowak gap and some distances
+    fall below the union's tolerance."""
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(["cycle", "path", "complete", "cube", "point", "empty", "plane"]),
+                              min_size=1, max_size=5)):
+        if kind in ("cycle", "path", "complete"):
+            block = {"cycle": cycle_space, "path": path_space, "complete": complete_space}[kind](
+                draw(st.integers(1 + (kind == "cycle"), 12)))
+        elif kind == "cube":
+            block = hypercube_space_graph(draw(st.integers(1, 3)))
+        elif kind == "plane":
+            rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+            xy = rng.standard_normal((draw(st.integers(2, 8)), 2))
+            block = FiniteMetricSpace(range(len(xy)), squareform(pdist(xy)))
+        else:
+            size = int(kind == "point")
+            block = FiniteMetricSpace(range(size), np.zeros((size, size)))
+        scale = draw(st.sampled_from([1.0, 1.0, 0.5, 1.1, 3.0, 3e-9]))
+        scaled = _outcome(FiniteMetricSpace, block.points, block.dist * scale)
+        blocks.append(block if isinstance(scaled, str) else scaled)  # too small to be a metric on its own
+    return blocks
+
+
+@PROPERTY
+@given(blocks=union_blocks(), rule=st.sampled_from(["max-diam-plus-1", "nowak"]))
+def test_separated_union_matches_full_triangle_check(blocks, rule):
+    want = _outcome(oracle.separated_union, blocks, rule)
+    got = _outcome(separated_union, blocks, rule)
+    if isinstance(want, str):
+        assert isinstance(got, str)
+        if got.startswith("triangle inequality fails for "):
+            # the named triple fails in the union the full check rejected
+            with mock.patch.object(FiniteMetricSpace, "_validate", lambda self: None):
+                union = oracle.separated_union(blocks, rule)
+            x, k, y = (union.index(p) for p in ast.literal_eval(got.removeprefix("triangle inequality fails for ")))
+            assert union.dist[x, y] - union.dist[x, k] - union.dist[k, y] > _scaled_tol(union.dist)
+        else:
+            assert got == want
+    else:
+        assert got.points == want.points and got.blocks == want.blocks
+        assert got.dist.tobytes() == want.dist.tobytes()
+
+
+# -- diam tables: one LP per (R, S) against one per (R, eps, S) --------------
+
+
+def _same_defect(a, b) -> bool:
+    if isinstance(a, Fraction):
+        return isinstance(b, Fraction) and a == b
+    return type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@PROPERTY
+@given(group=st.one_of(st.builds(cyclic_group, st.integers(1, 8)), st.builds(dihedral_group, st.integers(2, 4)),
+                       products().filter(lambda g: g.n <= 12)),
+       R_grid=st.lists(st.sampled_from([0, 1, 1.0, 2, 2.5, 3]), min_size=1, max_size=3),
+       eps_grid=st.lists(st.sampled_from([1e-7, 0.25, 0.5, 0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=4),
+       form=st.sampled_from(["folner", "witness"]), exact=st.sampled_from([True, False]))
+def test_diam_table_matches_per_eps_scan(group, R_grid, eps_grid, form, exact):
+    want = oracle.diam_table(group, R_grid, eps_grid, form, exact=exact)
+    got = diam_table(group, R_grid, eps_grid, form, exact=exact)
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert list(got.defects) == list(want.defects)
+    assert all(_same_defect(got.defects[key], want.defects[key]) for key in want.defects)
 
 
 # -- every document kind: write, read, write --------------------------------

@@ -89,6 +89,14 @@ def test_separated_union_policies():
     assert three.blocks == [0, 0, 1, 1, 2, 2]
 
 
+def test_separated_union_rejects_a_block_wider_than_twice_its_gap():
+    # C12 has diameter 6; its antipodes are 6 apart but 2 + 2 through the point
+    point = FiniteMetricSpace([0], np.zeros((1, 1)))
+    with pytest.raises(ValueError, match=r"triangle inequality fails for \(\(0, 0\), \(1, 0\), \(0, 6\)\)"):
+        separated_union([cycle_space(12), point], rule="nowak")
+    assert separated_union([cycle_space(8), point], rule="nowak").dist[4, 8] == 2
+
+
 def test_net_extract():
     seg = path_space(5)
     assert net_extract(seg, 1.0).points == [0, 1, 2, 3, 4]
