@@ -171,6 +171,8 @@ def witness(action, inp, space_path, kind, target, r, eps, s, ray, p, m_quant, d
         else:
             if ray is None:
                 _fail("tree witnesses need --ray (boundary vertex index)")
+            if not 0 <= ray < sp.n:
+                _fail(f"--ray {ray} is not a point index of the {sp.n}-point space")
             w = W.tree_witness(sp, sp.points[ray], r, eps)
     else:
         if inp is None:

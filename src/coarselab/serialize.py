@@ -12,6 +12,12 @@ All documents carry ``"schema": "coarselab/1"``.  Floats are emitted with 17
 significant digits (round-trip exact), keys are sorted, so identical values
 always produce identical bytes.  Arrays are written in bulk, each distinct
 float of a block of rows formatted once, with the same bytes as ``.tolist()``.
+
+Documents are parsed by orjson from their UTF-8 bytes.  The reader rejects,
+with ValueError, NaN and Infinity literals, numbers that overflow to inf,
+lone surrogates (``"\\ud800"``), input that is not UTF-8 and arrays and
+objects nested deeper than ``_MAX_DEPTH``.  Integers beyond 64 bits (below
+-2**63 or from 2**64 on) read as floats.
 """
 
 from __future__ import annotations
@@ -20,8 +26,10 @@ import functools
 import json
 import math
 import os
+import re
 
 import numpy as np
+import orjson
 
 from .spaces import FiniteMetricSpace, CompressionProfile
 from .groups import FiniteGroup, NAMED_GROUPS
@@ -32,6 +40,10 @@ from . import witnesses as W
 
 SCHEMA = "coarselab/1"
 _BLOCK = 8192  # array entries per block: only a block's tokens are held at once
+# orjson builds nested arrays and objects by recursion on the C stack, which a
+# valid document nested about 10**5 deep overflows; json stopped at Python's
+# recursion limit (about 1,000), so no document it read is refused here
+_MAX_DEPTH = 10_000
 
 
 def _canon(value):
@@ -99,9 +111,23 @@ def dump(obj, path):
         raise
 
 
+def _depth(data: bytes) -> int:
+    """How deep the arrays and objects of JSON text nest; escapes and strings
+    are cut out first, so a bracket inside a string does not count."""
+    outside = np.frombuffer(re.sub(rb'"[^"]*"', b"", re.sub(rb"\\.", b"", data, flags=re.S)), dtype=np.uint8)
+    steps = np.isin(outside, list(b"[{")).astype(int) - np.isin(outside, list(b"]}"))
+    return int(np.cumsum(steps).max(initial=0))
+
+
 def load(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # the depth is at most the number of opening brackets, which is cheap to count
+    raw = np.frombuffer(data, dtype=np.uint8)
+    opens = np.count_nonzero(raw == ord("[")) + np.count_nonzero(raw == ord("{"))
+    if opens > _MAX_DEPTH and _depth(data) > _MAX_DEPTH:
+        raise ValueError(f"arrays and objects nest deeper than {_MAX_DEPTH}")
+    return orjson.loads(data)
 
 
 def _point_id(p):

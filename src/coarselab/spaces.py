@@ -51,7 +51,7 @@ class FiniteMetricSpace:
             raise ValueError("nonzero diagonal entry")
         if np.abs(self.dist - self.dist.T).max(initial=0.0) > tol:
             raise ValueError("distance matrix is not symmetric")
-        off = self.dist + np.eye(n) * 1.0
+        off = self.dist + np.diag(np.full(n, np.inf))  # a finite mask would fall below tol >= 1
         if n > 1 and off.min() <= tol:
             i, j = np.unravel_index(np.argmin(off), off.shape)
             raise ValueError(f"non-positive distance between distinct points {self.points[i]} and {self.points[j]}")

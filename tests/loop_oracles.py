@@ -7,9 +7,10 @@ measurement on the full distance matrix and the heap Dijkstra warp.  Then
 the per-element group loops that gathers on the multiplication table
 replaced: the named tables, products, identities, inverses, actions,
 subgroup checks, cosets, box kernels, averages and translates.  Last, the
-separated union that re-ran the triangle check over all of its points, and
-the diam-table scan that solved one LP per (R, eps, S) visited.  The
-property tests compare the library against them."""
+separated union that re-ran the triangle check over all of its points, the
+diam-table scan that solved one LP per (R, eps, S) visited, and the document
+reader that ran json on the text of the file.  The property tests compare
+the library against them."""
 
 import heapq
 import json
@@ -603,3 +604,8 @@ def diam_table(target, R_grid, eps_grid, form: str, exact: bool | None = None) -
             else:
                 raise LPError("no admissible S up to the diameter (signals a bug)")
     return table
+
+
+def load(path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)

@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -408,3 +412,68 @@ def test_malformed_document_is_an_error_line(runner, tmp_path, case):
         # an exception other than the exit would escape invoke() here
         res = invoke(runner, [str(a) for a in argv[command]])
         assert res.exit_code == 1 and "error: " in res.output, (command, res.output)
+
+
+def test_report_accepts_a_space_at_distance_2e9(runner, tmp_path):
+    # the reader's tolerance reaches 1 at distance 1e9 and once rejected
+    # such a space at its own diagonal, as "points 0 and 0"
+    doc = tmp_path / "far.json"
+    doc.write_text('{"dist":[[0.0,2e9],[2e9,0.0]],"kind":"space","points":[0,1],"schema":"coarselab/1"}')
+    res = invoke(runner, ["report", "--in", str(doc)])
+    assert res.exit_code == 0 and "space invariants ok" in res.output, res.output
+
+
+@pytest.mark.parametrize("ray", ["999", "-1"])
+def test_tree_witness_ray_outside_the_space_is_an_error_line(runner, tmp_path, ray):
+    sp, w = tmp_path / "tree.json", tmp_path / "w.json"
+    invoke(runner, ["space", "gen", "--kind", "tree", "--branch", "2", "--depth", "3", "--out", str(sp)])
+    res = invoke(runner, ["witness", "build", "--space", str(sp), "--kind", "tree", "--ray", ray,
+                          "--r", "1", "--out", str(w), "--report", str(tmp_path / "rep.json")])
+    assert res.exit_code == 1 and f"error: --ray {ray} is not a point index of the 15-point space" in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tree.json"]
+
+
+# -- the reader's verdicts where orjson and json differ ----------------------
+
+REPORT = {
+    "R_target": 1.0, "S_measured": 2.0, "eps_measured": 0.4, "form": "lp", "kind": "witness-report",
+    "norm_deviation": 0.0, "notes": {}, "schema": "coarselab/1", "tolerance": 1e-9,
+}
+# (document bytes, exit code, what the output names).  json read NaN in notes
+# and the lone surrogate without complaint; it read 2**64 as an int, which
+# _number refuses; 1e400 and the invalid byte were error lines with other
+# messages; nested 2,000 deep it raised RecursionError, a traceback
+READER_VERDICTS = {
+    "NaN in notes": (json.dumps(dict(REPORT, notes={"x": math.nan})).encode(), 1, "unexpected character"),
+    "1e400 in a float field": (json.dumps(REPORT).replace("1.0", "1e400", 1).encode(), 1,
+                               "number is infinity when parsed as double"),
+    "lone surrogate point id": (b'{"dist":[[0.0,1.0],[1.0,0.0]],"kind":"space","points":["\\ud800","b"],'
+                                b'"schema":"coarselab/1"}', 1, "surrogate"),
+    "invalid UTF-8 byte": (b'{"dist":[[0.0,1.0],[1.0,0.0]],"kind":"space","points":["\xff","b"],'
+                           b'"schema":"coarselab/1"}', 1, "not valid UTF-8"),
+    "nested 2,000 deep": (b"[" * 2000 + b"]" * 2000, 1, "a document is a JSON object"),
+    # the one widening: json read an int, which is not a finite float64
+    "2**64 as R_target": (json.dumps(dict(REPORT, R_target=2**64)).encode(), 0, "witness-report invariants ok"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_VERDICTS))
+def test_reader_verdict(runner, tmp_path, case):
+    data, code, message = READER_VERDICTS[case]
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(data)
+    res = invoke(runner, ["report", "--in", str(doc)])
+    assert res.exit_code == code and message in res.output, res.output
+    assert ("error: cannot read" in res.output) == (code == 1) and "Traceback" not in res.output
+
+
+def test_a_document_nested_past_the_c_stack_is_an_error_line(tmp_path):
+    # orjson alone would overflow the C stack here; a fresh process, so a
+    # crash fails this test and not the suite
+    doc = tmp_path / "deep.json"
+    doc.write_bytes(b"[" * 400_000 + b"]" * 400_000)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    res = subprocess.run([sys.executable, "-m", "coarselab.cli", "report", "--in", str(doc)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 1 and "error: cannot read" in res.stderr, res.stderr
+    assert "nest deeper than 10000" in res.stderr and "Traceback" not in res.stderr

@@ -6,12 +6,13 @@ their loops, the distinct-value writer, witness measurement within R and
 csgraph warping against the routines they replaced, the gathers on a group's
 multiplication table against the per-element loops, the block-level triangle
 check of separated unions against the full one, diam tables sharing each
-(R, S) optimum against the per-eps scan, and every document kind through
-write, read and write."""
+(R, S) optimum against the per-eps scan, every document kind through write,
+read and write, and the orjson reader against json, float bits included."""
 
 import ast
 import json
 import math
+import struct
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -792,3 +793,78 @@ def test_write_read_write_gives_the_same_bytes(kind, data):
     assert serialize.dumps(serialize.write(back)) == text
     if hasattr(back, "invariants"):  # what the library writes holds them
         assert back.invariants(1e-9) == []
+
+
+# -- the orjson reader against json on the text of the file -------------------
+
+# random finite bit patterns, and the edges they would rarely hit: signed
+# zeros, the smallest subnormals and normals, the largest finite values
+bit_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0]).filter(math.isfinite),
+)
+int64s = st.integers(-2**63, 2**63 - 1)
+written = st.recursive(
+    st.one_of(st.none(), st.booleans(), int64s, bit_floats, st.text(max_size=6),
+              hnp.arrays(np.float64, shapes, elements=bit_floats), hnp.arrays(np.int64, shapes, elements=int64s)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=10,
+)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal objects, with each float equal bit for bit (so -0.0 != 0.0)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same_bits(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _nesting(value) -> int:
+    if isinstance(value, (list, dict)):
+        return 1 + max(map(_nesting, value.values() if isinstance(value, dict) else value), default=0)
+    return 0
+
+
+@PROPERTY
+@given(doc=written)
+def test_reader_matches_json_on_written_documents(doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("load") / "doc.json"
+    serialize.dump(doc, path)
+    got = serialize.load(path)
+    assert _same_bits(got, oracle.load(path))
+    assert serialize._depth(path.read_bytes()) == _nesting(got)
+
+
+def test_depth_cuts_out_escapes_and_strings():
+    for doc in (["\"[[", {"]\\": [[]]}], ["\\", "[\"{"], {"a\"b": ["}"], "[": {"\\\"": "]]"}}):
+        assert serialize._depth(serialize.dumps(doc).encode()) == _nesting(doc)
+
+
+decimals = st.tuples(st.booleans(), st.text("0123456789", min_size=1, max_size=40), st.integers(0, 40),
+                     st.integers(-330, 310))
+
+
+def _decimal(negative, digits, point, exponent) -> str:
+    whole, fraction = digits[:point].lstrip("0") or "0", digits[point:]
+    return ("-" if negative else "") + whole + ("." + fraction if fraction else "") + f"e{exponent}"
+
+
+@PROPERTY
+@given(numbers=st.lists(decimals, min_size=1, max_size=30))
+def test_reader_matches_json_on_decimal_strings(numbers, tmp_path_factory):
+    texts = [_decimal(*n) for n in numbers]
+    finite = [t for t in texts if math.isfinite(json.loads(t))]
+    out = tmp_path_factory.mktemp("load")
+    (out / "finite.json").write_text("[" + ",".join(finite) + "]")
+    assert _same_bits(serialize.load(out / "finite.json"), oracle.load(out / "finite.json"))
+    for text in sorted(set(texts) - set(finite))[:1]:  # json overflowed to inf, which the reader refuses
+        (out / "inf.json").write_text(text)
+        with pytest.raises(ValueError, match="infinity"):
+            serialize.load(out / "inf.json")

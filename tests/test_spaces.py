@@ -52,6 +52,15 @@ def test_space_validation_rejects_bad_matrices():
         FiniteMetricSpace([0, 1], [[0, 0], [0, 0]])
 
 
+@pytest.mark.parametrize("d", [1e8, 2e9, 1e12])
+def test_space_validation_accepts_large_distances(d):
+    # the tolerance scales with the largest distance and reaches 1 at 1e9,
+    # so the diagonal may not be masked by a finite value
+    assert FiniteMetricSpace([0, 1], [[0.0, d], [d, 0.0]]).diameter() == d
+    with pytest.raises(ValueError, match="non-positive distance between distinct points 0 and 2"):
+        FiniteMetricSpace([0, 1, 2], [[0.0, d, d * 1e-10], [d, 0.0, d], [d * 1e-10, d, 0.0]])
+
+
 def test_lp_product_examples():
     square1 = lp_product(path_space(2), path_space(2), 1)
     assert square1.dist[square1.index((0, 0)), square1.index((1, 1))] == 2
