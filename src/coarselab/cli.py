@@ -32,12 +32,20 @@ def _fail(message: str):
     sys.exit(1)
 
 
-def _dump(obj, path):
-    """Write the document of a library object."""
+def _save(path, save, *args):
+    """``save(*args, path)``: a value the writer refuses, or a path that
+    cannot be opened, is an error line."""
     try:
-        io.dump(io.write(obj), path)
+        save(*args, path)
+    except OSError as exc:  # its text would name the temporary file
+        _fail(f"cannot write {path}: {exc.strerror or exc}")
     except (ValueError, TypeError) as exc:
         _fail(f"cannot write {path}: {exc}")
+
+
+def _dump(obj, path):
+    """Write the document of a library object."""
+    _save(path, io.dump, io.write(obj))
 
 
 def _load(path, kind=None):
@@ -96,24 +104,29 @@ def main():
 @click.option("--kernel-out", type=click.Path(), default=None, help="also write the distances as a normalized kernel")
 def space(action, kind, n, branch, depth, d, n_max, base, k, seed, tol, out, graph_out, kernel_out):
     """Generate a finite metric space."""
-    if kind == "cycle":
-        sp = SP.cycle_space(n)
-    elif kind == "path":
-        sp = SP.path_space(n)
-    elif kind == "complete":
-        sp = SP.complete_space(n)
-    elif kind == "tree":
-        sp = SP.tree_space(branch, depth)
-    elif kind == "hypercube":
-        sp = SP.hypercube_space_graph(n)
-    elif kind == "random-regular":
-        sp = SG.random_regular_graph(n, d, seed=seed).metric_space()
-    elif kind == "box":
-        group = _named_group("zn", base**k)
-        subs = [[g for g in range(group.n) if g % (base**j) == 0] for j in range(1, k + 1)]
-        sp = G.build_box(G.QuotientChain(group, subs)).space
-    else:  # nowak
-        sp = G.hypercube_space(_named_group("zn", base), n_max)
+    if n is None and kind in ("cycle", "path", "complete", "hypercube", "random-regular"):
+        _fail(f"--kind {kind} needs --n")
+    try:
+        if kind == "cycle":
+            sp = SP.cycle_space(n)
+        elif kind == "path":
+            sp = SP.path_space(n)
+        elif kind == "complete":
+            sp = SP.complete_space(n)
+        elif kind == "tree":
+            sp = SP.tree_space(branch, depth)
+        elif kind == "hypercube":
+            sp = SP.hypercube_space_graph(n)
+        elif kind == "random-regular":
+            sp = SG.random_regular_graph(n, d, seed=seed).metric_space()
+        elif kind == "box":
+            group = _named_group("zn", base**k)
+            subs = [[g for g in range(group.n) if g % (base**j) == 0] for j in range(1, k + 1)]
+            sp = G.build_box(G.QuotientChain(group, subs)).space
+        else:  # nowak
+            sp = G.hypercube_space(_named_group("zn", base), n_max)
+    except ValueError as exc:
+        _fail(f"cannot build {kind}: {exc}")
     if graph_out and kind in ("box", "nowak"):
         _fail(f"--graph-out needs a graph kind, not {kind}")
     graph = _unit_graph(sp, "the space") if graph_out else None
@@ -166,14 +179,14 @@ def witness(action, inp, space_path, kind, target, r, eps, s, ray, p, m_quant, d
     """Build, convert, or measure certificates."""
     sp = _load(space_path, "space")
     if action == "build":
-        if kind == "ball":
-            w = W.ball_witness(sp, s, r)
-        else:
-            if ray is None:
-                _fail("tree witnesses need --ray (boundary vertex index)")
-            if not 0 <= ray < sp.n:
-                _fail(f"--ray {ray} is not a point index of the {sp.n}-point space")
-            w = W.tree_witness(sp, sp.points[ray], r, eps)
+        if kind == "tree" and ray is None:
+            _fail("tree witnesses need --ray (boundary vertex index)")
+        if kind == "tree" and not 0 <= ray < sp.n:
+            _fail(f"--ray {ray} is not a point index of the {sp.n}-point space")
+        try:
+            w = W.ball_witness(sp, s, r) if kind == "ball" else W.tree_witness(sp, sp.points[ray], r, eps)
+        except ValueError as exc:
+            _fail(str(exc))
     else:
         if inp is None:
             _fail("--in is required")
@@ -198,7 +211,10 @@ def witness(action, inp, space_path, kind, target, r, eps, s, ray, p, m_quant, d
     bad = W.validate_witness(w, sp, tol)
     if bad:
         _fail("invariant violations: " + "; ".join(bad))
-    rep = replace(W.measure_witness(w, sp, r), tol=tol)
+    try:
+        rep = replace(W.measure_witness(w, sp, r), tol=tol)
+    except ValueError as exc:
+        _fail(str(exc))
     if report_path:
         _dump(rep, report_path)
     if out:
@@ -313,7 +329,7 @@ def spectral(action, inp, group_kind, n, mode, samples, seed, tol, out, csv_path
         if out:
             _dump(rep, out)
         if csv_path:
-            io.spectrum_to_csv(rep.spectrum, csv_path)
+            _save(csv_path, io.spectrum_to_csv, rep.spectrum)
         click.echo(f"lambda={rep.lam:.9g} n={graph.n} degree={graph.degree}")
         return
     try:
@@ -350,7 +366,7 @@ def diam(group_kind, n, r_values, eps_values, form, exact, out, csv_path):
     if out:
         _dump(table, out)
     if csv_path:
-        io.diam_to_csv(table, csv_path)
+        _save(csv_path, io.diam_to_csv, table)
     for (r, e), s in sorted(table.entries.items()):
         click.echo(f"R={r:g} eps={e:g} -> S={s:g} (defect {float(table.defects[(r, e, s)]):.6g})")
 
@@ -380,10 +396,10 @@ def embed(inp, space_path, mode, tol, csv_path, profile_path):
     n = emb.coords.shape[0]
     ids = list(range(n))
     if csv_path:
-        io.embedding_to_csv(emb.coords, ids, csv_path)
+        _save(csv_path, io.embedding_to_csv, emb.coords, ids)
     if profile_path:
         prof = SP.compression_profile(SP.PointMap(sp, None, emb.coords))
-        io.profile_to_csv(prof, profile_path)
+        _save(profile_path, io.profile_to_csv, prof)
     click.echo(f"embedded {n} points into dim {emb.dimension} (clipped mass {emb.clipped_mass:.3g}, tol {tol})")
 
 

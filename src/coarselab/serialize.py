@@ -8,10 +8,12 @@ a check of the constructor, raises ValueError.  Report objects also have
 ``invariants(tol)``, the relations between their fields, which ``coarselab
 report`` checks beside a re-measurement for four kinds.
 
-All documents carry ``"schema": "coarselab/1"``.  Floats are emitted with 17
-significant digits (round-trip exact), keys are sorted, so identical values
-always produce identical bytes.  Arrays are written in bulk, each distinct
-float of a block of rows formatted once, with the same bytes as ``.tolist()``.
+All documents carry ``"schema": "coarselab/1"`` and are written by orjson
+with their keys sorted.  Each float is written as the shortest text that
+reads back to the same double, so identical values always produce identical
+bytes.  Strings are raw UTF-8.  A NaN or an infinity (ValueError), an integer
+beyond 64 bits or a dict key that is not a string (TypeError) is refused
+before anything is written.
 
 Documents are parsed by orjson from their UTF-8 bytes.  The reader rejects,
 with ValueError, NaN and Infinity literals, numbers that overflow to inf,
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 import re
 
@@ -39,71 +42,51 @@ from .amenability import DiamTable
 from . import witnesses as W
 
 SCHEMA = "coarselab/1"
-_BLOCK = 8192  # array entries per block: only a block's tokens are held at once
 # orjson builds nested arrays and objects by recursion on the C stack, which a
 # valid document nested about 10**5 deep overflows; json stopped at Python's
 # recursion limit (about 1,000), so no document it read is refused here
 _MAX_DEPTH = 10_000
 
 
-def _canon(value):
+def _finite(value) -> bool:
+    """Whether every float in ``value`` is finite: orjson writes NaN and the
+    infinities as null."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind != "O":
+            return value.dtype.kind != "f" or bool(np.isfinite(value).all())
+        value = value.tolist()
     if isinstance(value, dict):
-        items = ",".join(f"{_canon(str(k))}:{_canon(v)}" for k, v in sorted(value.items()))
-        return "{" + items + "}"
+        value = list(value.values())
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_canon(v) for v in value) + "]"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, np.ndarray) and value.dtype.kind in "biu":
-        return json.dumps(value.tolist(), separators=(",", ":"))
-    if isinstance(value, (float, np.floating)) or isinstance(value, np.ndarray) and value.dtype.kind == "f":
-        a = np.asarray(value, dtype=float)
-        if not np.isfinite(a).all():
-            raise ValueError("non-finite float in canonical output")
-        return _float_text(a)
+        return all(map(_finite, value))
+    return not isinstance(value, (float, np.floating)) or math.isfinite(value)
+
+
+def _as_list(value):
+    """An array that orjson does not take whole: a strided view, a 0-d or an
+    object array."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _float_text(a: np.ndarray) -> str:
-    if a.ndim > 1 and len(a) > 1 and a.size > _BLOCK:  # a block of rows at a time
-        step = max(1, _BLOCK * len(a) // a.size)
-        return "[" + ",".join(_float_text(a[i:i + step])[1:-1] for i in range(0, len(a), step)) + "]"
-    # one token per distinct bit pattern (so -0.0 and 0.0 stay apart): integral
-    # values below 1e15 as ".1f" (which keeps -0.0), all others as ".17g"
-    bits, inverse = np.unique(np.ravel(a).view(np.uint64), return_inverse=True)
-    values = bits.view(np.float64)
-    whole = (values == np.trunc(values)) & (np.abs(values) < 1e15)
-    text = ",".join(["%.1f" if w else "%.17g" for w in whole.tolist()]) % tuple(values.tolist())
-    cells = np.array(text.split(","), dtype=object)[inverse].reshape(a.shape).tolist()
-    return cells if a.ndim == 0 else _nested(cells)
-
-
-def _nested(cells: list) -> str:
-    if cells and not isinstance(cells[0], str):
-        cells = map(_nested, cells)
-    return "[" + ",".join(cells) + "]"
-
-
-def dumps(obj) -> str:
-    return _canon(obj)
+def dumps(obj) -> bytes:
+    """The canonical bytes of a document."""
+    if not _finite(obj):
+        raise ValueError("non-finite float in canonical output")
+    return orjson.dumps(obj, default=_as_list, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY)
 
 
 def dump(obj, path):
     """Write atomically: serialise first, then replace ``path`` with a
     complete temporary file from its directory, so a failure leaves no
     partial file behind."""
-    text = dumps(obj) + "\n"
+    data = dumps(obj) + b"\n"
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -128,14 +111,6 @@ def load(path) -> dict:
     if opens > _MAX_DEPTH and _depth(data) > _MAX_DEPTH:
         raise ValueError(f"arrays and objects nest deeper than {_MAX_DEPTH}")
     return orjson.loads(data)
-
-
-def _point_id(p):
-    if isinstance(p, tuple):
-        return [_point_id(q) for q in p]
-    if isinstance(p, (np.integer,)):
-        return int(p)
-    return p
 
 
 def _point_from(p):
@@ -226,7 +201,7 @@ _count = functools.partial(_number, low=1, integer=True)
 
 
 def _space_fields(space: FiniteMetricSpace) -> dict:
-    fields = {"points": [_point_id(p) for p in space.points], "dist": space.dist}
+    fields = {"points": list(space.points), "dist": space.dist}
     if space.blocks is not None:
         fields["blocks"] = list(space.blocks)
     return fields
@@ -239,7 +214,7 @@ def _read_space(doc) -> FiniteMetricSpace:
 
 def _group_fields(group: FiniteGroup) -> dict:
     return {
-        "elements": [_point_id(e) for e in group.elements],
+        "elements": list(group.elements),
         "table": group.table,
         "generators": list(group.generators),
         "lengths": np.asarray(group.lengths, dtype=float),
@@ -292,7 +267,7 @@ def _witness_fields(w) -> dict:
     # frozensets have no order: sorted, they give the same bytes every time
     data = {k: [sorted(a) for a in getattr(w, k)] if k in ("sets", "cover") else getattr(w, k) for k in data}
     params = {**{k: _finite_or_none(getattr(w, k)) for k in ("R", "eps", "S")}, **{k: getattr(w, k) for k in params}}
-    return {"form": w.form, "params": params, "points": [_point_id(p) for p in w.point_ids], "data": data}
+    return {"form": w.form, "params": params, "points": list(w.point_ids), "data": data}
 
 
 def _read_witness(doc):
@@ -472,7 +447,8 @@ def embedding_to_csv(coords, point_ids, path):
     with open(path, "w") as fh:
         fh.write("point," + ",".join(f"x{i}" for i in range(coords.shape[1])) + "\n")
         for pid, row in zip(point_ids, coords):
-            fh.write(json.dumps(_point_id(pid)).replace(",", ";") + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+            point = json.dumps(pid, default=operator.index).replace(",", ";")  # numpy integers as ints
+            fh.write(point + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def spectrum_to_csv(spectrum, path):

@@ -191,8 +191,8 @@ def expansion_constant(graph, mode: str = "exact", samples: int | None = None, s
             raise ValueError(f"exact enumeration capped at {EXACT_SUBSET_CAP} vertices")
         batches, samples = _all_subsets(n), None
     elif mode == "sampled":
-        if not samples:
-            raise ValueError("sampled mode needs a sample count")
+        if samples is None or samples < 1:
+            raise ValueError("sampled mode needs a positive sample count")
         batches = _sampled_subsets(n, samples, np.random.default_rng(seed))
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -187,6 +187,8 @@ def _cover_diameter(space, cover) -> float:
 
 def measure_witness(w, space: FiniteMetricSpace, R_target: float) -> WitnessReport:
     """Exhaustively measured (eps, S, norm deviation) at scale ``R_target``."""
+    if not (math.isfinite(R_target) and R_target >= 0):  # no pair is within R: a vacuous eps
+        raise ValueError("R must be finite and nonnegative")
     w.check_space(space)
     mask = _pair_mask(space, R_target)
     notes: dict = {}

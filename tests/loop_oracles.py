@@ -1,8 +1,7 @@
-"""Reference loops for the vectorised routines: the scalar canonical writer,
-the all-pairs BFS graph metric, the per-pair compression profile and the
-float64 triangle check, one element at a time in plain Python, and the
-every-triple associativity check that Light's test replaced.  Also the
-routines they replaced in turn: the row-by-row array writer, witness
+"""Reference loops for the vectorised routines: the all-pairs BFS graph
+metric, the per-pair compression profile and the float64 triangle check, one
+element at a time in plain Python, and the every-triple associativity check
+that Light's test replaced.  Also the routines they replaced in turn: witness
 measurement on the full distance matrix and the heap Dijkstra warp.  Then
 the per-element group loops that gathers on the multiplication table
 replaced: the named tables, products, identities, inverses, actions,
@@ -28,32 +27,6 @@ from coarselab.witnesses import (
     NORM_TOL, SUPPORT_TOL, AFamily, KernelWitness, LpWitness, PartitionWitness, TailWitness, VectorWitness,
     WitnessReport, _afamily_ratio, _cover_diameter, _pair_mask, _support_radius, _tail_masses,
 )
-
-
-def canon(value):
-    """The canonical writer on Python scalars, lists and dicts (arrays
-    arrive as their ``.tolist()``)."""
-    if isinstance(value, dict):
-        items = ",".join(f"{canon(str(k))}:{canon(v)}" for k, v in sorted(value.items()))
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(canon(v) for v in value) + "]"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        f = float(value)
-        if math.isinf(f) or math.isnan(f):
-            raise ValueError("non-finite float in canonical output")
-        if f == int(f) and abs(f) < 1e15:
-            return f"{f:.1f}"
-        return f"{f:.17g}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def bfs_metric(adj) -> np.ndarray:
@@ -120,17 +93,6 @@ def associative(table) -> bool:
     t = np.asarray(table)
     # t[t][i,j,k] = t[t[i,j],k] and take(t,t,axis=1)[i,j,k] = t[i,t[j,k]]
     return bool(np.array_equal(t[t], np.take(t, t, axis=1)))
-
-
-def float_text(a: np.ndarray) -> str:
-    """The array writer one row at a time, every entry formatted on its own."""
-    # integral values below 1e15 as ".1f" (which keeps -0.0), all others as ".17g"
-    if a.ndim > 1:
-        return "[" + ",".join(map(float_text, a)) + "]"
-    row = np.atleast_1d(a)
-    whole = (row == np.trunc(row)) & (np.abs(row) < 1e15)
-    text = ",".join(["%.1f" if w else "%.17g" for w in whole.tolist()]) % tuple(row.tolist())
-    return text if a.ndim == 0 else "[" + text + "]"
 
 
 def measure_witness(w, space: FiniteMetricSpace, R_target: float) -> WitnessReport:

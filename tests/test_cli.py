@@ -13,6 +13,7 @@ from coarselab.cli import main
 from coarselab import cycle_space, ball_witness, cyclic_group, cayley_metric
 from coarselab.spectral import random_regular_graph
 from coarselab import witnesses as W
+from coarselab.spaces import FiniteMetricSpace
 
 
 @pytest.fixture()
@@ -270,7 +271,7 @@ def test_space_gen_writes_graph_and_kernel_documents(runner, tmp_path):
                           "--graph-out", str(tmp_path / "g.json"), "--kernel-out", str(tmp_path / "k.json")])
     assert res.exit_code == 0, res.output
     dist = cycle_space(8).dist
-    assert (tmp_path / "k.json").read_text() == io.dumps(io.kernel_to_doc(dist, normalized=True)) + "\n"
+    assert (tmp_path / "k.json").read_bytes() == io.dumps(io.kernel_to_doc(dist, normalized=True)) + b"\n"
     graph = io.graph_from_doc(io.load(tmp_path / "g.json"))
     assert graph.degree == 2 and np.array_equal(graph.metric_space().dist, dist)
     # a kind without a regular graph: an error line and no file at all
@@ -477,3 +478,97 @@ def test_a_document_nested_past_the_c_stack_is_an_error_line(tmp_path):
                          capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 1 and "error: cannot read" in res.stderr, res.stderr
     assert "nest deeper than 10000" in res.stderr and "Traceback" not in res.stderr
+
+
+# -- writing: unwritable paths, bad inputs, and the writer's verdicts ---------
+
+UNWRITABLE = {
+    "spectral --out": ["spectral", "report", "--in", "g.json", "--out", "nodir/s.json"],
+    "spectral --csv": ["spectral", "report", "--in", "g.json", "--csv", "nodir/s.csv"],
+    "diam --csv": ["diam", "--group", "zn", "--n", "4", "--csv", "nodir/d.csv"],
+    "space --kernel-out": ["space", "gen", "--kind", "cycle", "--n", "8", "--out", "c.json",
+                           "--kernel-out", "nodir/k.json"],
+    "embed --csv": ["embed", "--in", "k.json", "--csv", "nodir/e.csv"],
+    "embed --profile": ["embed", "--in", "k.json", "--space", "c8.json", "--profile", "nodir/p.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_unwritable_output_path_is_an_error_line(runner, tmp_path, monkeypatch, case):
+    # each was a FileNotFoundError traceback
+    monkeypatch.chdir(tmp_path)
+    invoke(runner, ["space", "gen", "--kind", "cycle", "--n", "8", "--out", "c8.json",
+                    "--graph-out", "g.json", "--kernel-out", "k.json"])
+    args = UNWRITABLE[case]
+    res = invoke(runner, args)
+    assert res.exit_code == 1, res.output
+    assert f"error: cannot write {args[-1]}: No such file or directory" in res.output
+    assert not (tmp_path / "nodir").exists()
+
+
+SPACE_INPUTS = {
+    "cycle without --n": (["--kind", "cycle"], "--kind cycle needs --n"),
+    "cycle --n -3": (["--kind", "cycle", "--n", "-3"], "cannot build cycle"),
+    "random-regular n d odd": (["--kind", "random-regular", "--n", "5", "--d", "3"], "n*d must be even"),
+    "random-regular d >= n": (["--kind", "random-regular", "--n", "4", "--d", "7"], "need 0 < d < n"),
+    "box --k 0": (["--kind", "box", "--k", "0"], "cannot build box"),
+    "nowak --n-max 0": (["--kind", "nowak", "--n-max", "0"], "cannot build nowak"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPACE_INPUTS))
+def test_space_gen_input_failure_is_an_error_line(runner, tmp_path, case):
+    # each was a traceback (a TypeError without --n, ValueErrors otherwise)
+    args, message = SPACE_INPUTS[case]
+    res = invoke(runner, ["space", "gen", *args, "--out", str(tmp_path / "s.json")])
+    assert res.exit_code == 1 and "error: " in res.output and message in res.output, res.output
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_sampled_expansion_needs_a_positive_sample_count(runner, tmp_path, samples):
+    # -5 printed c=inf with |A|=0 and exit 0, a report that fails its own invariants
+    invoke(runner, ["space", "gen", "--kind", "cycle", "--n", "8", "--out", str(tmp_path / "c8.json"),
+                    "--graph-out", str(tmp_path / "g.json")])
+    res = invoke(runner, ["spectral", "expansion", "--in", str(tmp_path / "g.json"), "--mode", "sampled",
+                          "--samples", samples, "--out", str(tmp_path / "e.json")])
+    assert res.exit_code == 1 and "error: sampled mode needs a positive sample count" in res.output
+    assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("action", ["build", "convert", "measure"])
+@pytest.mark.parametrize("r", ["nan", "-1"])
+def test_witness_r_must_be_finite_and_nonnegative(runner, tmp_path, action, r):
+    # no pair is within such an R: these reported eps_measured=0 with exit 0
+    sp, w = str(tmp_path / "c8.json"), str(tmp_path / "w.json")
+    invoke(runner, ["space", "gen", "--kind", "cycle", "--n", "8", "--out", sp])
+    invoke(runner, ["witness", "build", "--space", sp, "--kind", "ball", "--s", "2", "--r", "1", "--out", w])
+    args = {"build": ["--kind", "ball", "--s", "2"], "convert": ["--in", w, "--to", "lp"], "measure": ["--in", w]}
+    res = invoke(runner, ["witness", action, "--space", sp, *args[action], "--r", r,
+                          "--out", str(tmp_path / "out.json"), "--report", str(tmp_path / "rep.json")])
+    assert res.exit_code == 1 and "error: R must be finite and nonnegative" in res.output, res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c8.json", "w.json"]
+
+
+def test_integer_beyond_64_bits_is_a_write_error(runner, tmp_path):
+    # the old writer wrote this seed, and report then refused the document
+    # ("seed is not an integer"); orjson refuses to write it
+    invoke(runner, ["space", "gen", "--kind", "cycle", "--n", "8", "--out", str(tmp_path / "c8.json"),
+                    "--graph-out", str(tmp_path / "g.json")])
+    out = tmp_path / "e.json"
+    res = invoke(runner, ["spectral", "expansion", "--in", str(tmp_path / "g.json"), "--mode", "sampled",
+                          "--samples", "5", "--seed", str(2**70), "--out", str(out)])
+    assert res.exit_code == 1 and f"error: cannot write {out}: Integer exceeds 64-bit range" in res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c8.json", "g.json"]
+
+
+def test_non_ascii_strings_are_written_as_raw_utf8(runner, tmp_path):
+    # the old writer escaped them ("é"); the reader takes either
+    path = tmp_path / "s.json"
+    space = FiniteMetricSpace(["é", "日本"], np.array([[0.0, 1.0], [1.0, 0.0]]))
+    io.dump(io.write(space), path)
+    data = path.read_bytes()
+    assert '"é","日本"'.encode() in data and b"\\u" not in data
+    assert io.space_from_doc(io.load(path)).points == ["é", "日本"]
+    res = invoke(runner, ["report", "--in", str(path)])
+    assert res.exit_code == 0 and "space invariants ok" in res.output, res.output

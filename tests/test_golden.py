@@ -1,7 +1,6 @@
 """The byte format across versions: sha256 of the CLI's JSON output on a
-fixed input, pinned to the bytes an earlier release of the writer produced
-(scalar, one value at a time).  A change to the canonical writer, a
-document layout or a computed value changes a hash here."""
+fixed input.  A change to the writer, a document layout or a computed value
+changes a hash here."""
 
 import hashlib
 
@@ -23,45 +22,41 @@ CONVERSIONS = [
     ("ker", "vec", "kernel", []),
 ]
 
-# generated by artifacts() from the scalar writer, before arrays were written in bulk
+# generated by artifacts() when the writer became orjson: each float is now
+# the shortest text that reads back to the same double (it was 17 significant
+# digits), so most hashes moved while every parsed value stayed the same, bit
+# for bit; documents of integers and integral floats kept their bytes
 GOLDEN = {
     "af.json": "86eeeb2cf58795bec7c1794428d7ae452796726cccb686799d639d6d4887f591",
-    "af.rep.json": "71cf8143c204a874becdaf185ddb6c061e8e3bbde35befd454f5790b7b29c142",
+    "af.rep.json": "ab1ffd1c49a75d0529be65e1a97c1b173ffaeee6157fc1e88849c8f6ed747b3b",
+    "bridge.json": "7ea3a26d158ab3d126e882e4a433ffa87862925ab00c941f691a397cee83a3a2",
     "c8.json": "5b79ee1a76671dba2abc65b6d7f67a533d3e9c261e0a42cee8594ea8b20555d6",
+    "diam.json": "08d95ce874b80f612bf3109c8be07b23c974d2df9a9fc4c4994982f331709975",
+    "diam_w.json": "385469b6cdbf436d678cb9003a4f354ace9107e41935174b5b12c8bc3a497258",
+    "exp.json": "44756e65bb03ba1e33352cdc39cc96b6248376abdcc35ee83bdafa3e717df8f7",
+    "exps.json": "8895c084c76a3f4b2950ecfdf23288e944a98eba23e5e6bc8b6ca3f6bf8822a3",
     "graph.json": "1c8593f70cef0ea93533ea90019096a7103e260277065f2e3d4f014ebb7b279a",
     "k.json": "593fac90a4db9e8c0de046b273d8aad7678a8ce1be69a65df5f2a019d8d76277",
-    "ker.json": "cd1e038a54335be6cbf94c086679c5e64e8ac9c96758c9c4c5855c8c2ea8cb95",
-    "ker.rep.json": "3d4cf7449a54c264dea84ef33f0bd99344be3054d2b19b4f53bb71729471ad8d",
-    "kexp.json": "88bfd0bdacf2a8508c72158ffdec1ebe99a0a5c3079fa9cbc5ed500f3d8aebbb",
-    "lp1.json": "12e2c8e937e53eeb0e3672bfa7d83c5dde93a904e04116e7ba3864fcb4179224",
-    "lp1.rep.json": "dffc3a5bef7282e55d4a211e5e98499893d137ec4f5b1729ed3446750a5e342b",
-    "lp2.json": "7d872e115990a3bdf321604144d3112ba3500ce5e6f38407adcce99b7c78d97f",
-    "lp2.rep.json": "82a4fb8ccdbdff8a8bb8563dbdaa5961dcfa639f6d4dfda7cf48c012bb510a2a",
-    "part.json": "93971a4ff5a0cccb9eea56a77582ba31b0c8c3b8e7ccbb76650321bfcd28ae10",
-    "part.rep.json": "bec09abdf594d62729b3d5c7147ed09198c130ed45641028630476b71ccfc5e9",
+    "kaz.json": "c86448f05b5306790396d7e17c608a89a0b88be331996b646fc0866debb9877e",
+    "kclass.json": "fab88e04a4a0d8dbca88aff8a275c45ee72e9ed2cc133d3c3ad2439d6c1c8032",
+    "ker.json": "900c00b00294ecb965a339b865f4eb34da40ce39696eca7ba23ae191a93db62d",
+    "ker.rep.json": "9d81f47246d0a69a41b988e1b68db52d1db36d945e7d3a293c65782e73bcfe6b",
+    "kexp.json": "c28224ad2aadf7692e100c2cf8476ba2a2965ee202135dc379cabea2060fd358",
+    "lp1.json": "52d032b72d074af9dd11f2cfa8885c552a95e769308c7444bb6325ee2c65480c",
+    "lp1.rep.json": "2a41ec8ed14d8cfe0b4f9edb7f46c17bc7021a7c360df9155efba16c8ff138c5",
+    "lp2.json": "65e5f16c5fd546d1509a84d64cb089d56d9df1ca229a56fb9f081c94e51a6546",
+    "lp2.rep.json": "5bba9bab84e7a810315aeb113bf2ffcc7669b45d07febf9699a094e99384120d",
+    "part.json": "bb2f11b1255bee3607bf071261192d81501f95b0eab1aab2130b8543e35203fd",
+    "part.rep.json": "91d0f70dac0716120d2977b26ba1f67eb25da3294e8193ac11b0b0e40a341d28",
     "spec.csv": "338dcc7dc0f5a6d7497d5f545c62c843102236181cdde633da458d570657c45a",
-    "spec.json": "4caf7ec363eda8c2c40448b8da194ca4265952130c0e9ef94c08263296cf60f7",
-    "tail.json": "41500f34e02eca7342514800c55d5aa2d1200579a2cedc2752c2723be40b95fc",
-    "tail.rep.json": "87dd36cb4b8573036d76cec5847c0e505d7000f94b3ef75987cb0a531ca98c9f",
-    "vec.json": "e20cd67308adf67924adaee7813093e3c7426a0c8a1d62cbfbd3e108c02bedfd",
-    "vec.rep.json": "9d00baf1bad12176db344abe54148c1318cb375979d3cd09cdb509bbe73fcd0f",
-    "w.json": "3a487f1e9c18af4231e36e847fbf6d4cabc5856bdddaf49a6f5c58175e5c7037",
-    "w.rep.json": "dffc3a5bef7282e55d4a211e5e98499893d137ec4f5b1729ed3446750a5e342b",
+    "spec.json": "bb4aebcdabe6d00629595284e72e27cf108324dd6bdb18b41bff2d694718ef20",
+    "tail.json": "1f1f707e33615f609aacccae7b7c7834e5cd2602aa886aee0d9be4548971ee07",
+    "tail.rep.json": "c7c5d59b607b7f4f952aeca5d8b4f308236d82511eaa2c7e18e116227ed48a88",
+    "vec.json": "35d8f8679ee710d724547c6102b5b77f786b81f3c1ec6f82ce53e2d196c53be0",
+    "vec.rep.json": "fd90f41640acdddf3456b729bb892a9cc1473c4a2b805b9173bd8e50990948c9",
+    "w.json": "3c4940500f1f6baf93f9fb3137d98f9136e0591db7e32778af27fd130b1f34b6",
+    "w.rep.json": "2a41ec8ed14d8cfe0b4f9edb7f46c17bc7021a7c360df9155efba16c8ff138c5",
 }
-# generated by artifacts() before the report layouts moved from the CLI into serialize
-GOLDEN.update({
-    "bridge.json": "118a39c22f26443ce09a4a31e09bc59558a8962dd699cd5b8cbf4490a1cd1eaa",
-    "diam.json": "08d95ce874b80f612bf3109c8be07b23c974d2df9a9fc4c4994982f331709975",
-    "exp.json": "bd42af418c2432f38a9d933facc5706c588f0146635dabe762a4f38c55598533",
-    "exps.json": "d95df9b15ece59b59fa22a7e76b7dd99fddce5e7c2ad339280be2a032c6cd2ef",
-    "kaz.json": "a20560a36e278443fb94210ca7b394c6cd8870f2abd89234a78639625d752965",
-    "kclass.json": "3e645eac45a8b7738d375098e4a040518cf4c86dc56d8b678e1a7c99a719b64c",
-})
-# generated by artifacts() while diam_table still solved one LP per (R, eps, S)
-GOLDEN.update({
-    "diam_w.json": "2f169e8edba4d1fdbba97b1271b47f3b83d61564c68f6a7ee2ce40c651a8b15a",
-})
-
 
 def artifacts(tmp_path) -> dict:
     """Run the pinned commands in ``tmp_path``; sha256 of every file written."""
@@ -104,31 +99,29 @@ def test_cli_output_bytes_match_pinned_hashes(tmp_path):
 # pairs within R a small share of all pairs.  One conversion into each form.
 CONVERSIONS_64 = CONVERSIONS[:4] + [("lpt", "tail", "lp", [])] + CONVERSIONS[4:]
 
-# generated by artifacts_64() before floats were formatted once per distinct
-# value and witnesses measured on the pairs within R only
+# generated by artifacts_64() with the orjson writer, as GOLDEN above
 GOLDEN_64 = {
     "af.json": "880c706d1d0d16fa46008aaa97de86058294f27d7352e8953173657bbab5266d",
-    "af.rep.json": "f1b5064df3cbc76fbeb3d78f5ec9a40b0cb0ad4e08c8999b30cec15a49df2f9b",
-    "ker.json": "beb3316897dc50c628348e46e036986c83ae33d2e46e0b582790c2965f5e7353",
-    "ker.rep.json": "ee74c92ecdc3487f90236c634ba04bbf0588e87bbb3a1413043b3934922a6d17",
-    "lp1.json": "59579d8c3928187232f7ccc0a1f4b01f00df3f81393f111108cd375b9d339a68",
-    "lp1.rep.json": "5d87c651807a663d1de03d47f3f91fd11e4b8385eedfd82ac1e902f938e9eb3e",
-    "lp2.json": "22018cb0ae6de2b602c7e0972a5d63c8e1c61bc1966df0024fa63538cdb16d71",
-    "lp2.rep.json": "642a57ff147c7e5286f0875d1ff220c46a66fe6079cccfc1275f3f1aeb074e9c",
-    "lpt.json": "14f5f70fdf843e9716e32826bb181a1c66cd42610019da6ab2bdf73838b5e713",
-    "lpt.rep.json": "2223e451bded8729c6b5c518629fa698caac82e0f5c6cb4215921086fc643995",
-    "measure.rep.json": "0f65345c2a5c95744cbf7920e82cf1635e872ec41b1df86d191a68847fd7818e",
-    "part.json": "7b676f72662816de6ae567fc243c8d8987f4e274df5e812d18729276a23fc5ee",
-    "part.rep.json": "81e4834cd4a596cef7ccd119e0b0740f49d21cd7ed18c304ec41ee59359d81c2",
+    "af.rep.json": "5cb4cdebe1f14b0a6b9115251ec1760d4c930ea1710a9a490b1256586b94741c",
+    "ker.json": "3bdc96c0b094a10356d767380bda947bb943a205693716135224ff1d44d47d06",
+    "ker.rep.json": "4a46885d18f81ac9727c27ca19517d016a4f0ffcfc04d12d96bb33d2dd763cb1",
+    "lp1.json": "e840c117cea0f822dcb3b1bbd12f624fb3cd80dd35ca19f2f460fb20d5615b6c",
+    "lp1.rep.json": "5be3d4587d84812a92d3986a7c32645e32ccee2b41b6b1051b770b6a976cbd0b",
+    "lp2.json": "e5d0580c2ef4f85b49e617b30e0790e37b6063a2d7cbe724f6871cedb2a09084",
+    "lp2.rep.json": "2e02e3b5c6b3d2732b5c092e141f9f9438126e4f59b40cd3e83cbcef23e3f5c7",
+    "lpt.json": "ebc0f4cb4e89c98fb1bdac74b08fb6b02a2759d1d7cee680f779afc51604f87d",
+    "lpt.rep.json": "a49db32ffeb6a9a8336b10d18da8178e9581b967c9fd6c8c9d4811bddc4f16db",
+    "measure.rep.json": "a8ac34f1907a4db1aab944b97ae690a6aeea2eb8403d36620fe8c85d793ead33",
+    "part.json": "c744e6552e29914814451483b4eef62735bb5b75789f71d0c87976507e8b7bb3",
+    "part.rep.json": "5bbcfdfff9af9f9f56f60e5ed689497dd2bc1c3f1216146510a3ace07bba2b11",
     "rr.json": "0fb23c14281b4681c4f2dddf8365eae398327a58843619bdcb493638689b391a",
-    "tail.json": "be0dab493ad8338045e6f846c54dbb260593509e10f3153ff850c166d1c23e2e",
-    "tail.rep.json": "80464d0985bd3a5b116f5858fe24d3ec066e6f036e6723b2977486e1ee0c6989",
-    "vec.json": "4de2268141937a73c0835c84d31c3edcf0ee0a2c79e10d9bdd341aeabf391300",
-    "vec.rep.json": "e51f5c69d908dcb3fb17f8b24e982dd189544f2be9326759261b6d9b83ea96f8",
-    "w.json": "de4abffbf0c869a4521ec66a958cb7f970073bcf9eb22476c99fb39b241ee86c",
-    "w.rep.json": "5d87c651807a663d1de03d47f3f91fd11e4b8385eedfd82ac1e902f938e9eb3e",
+    "tail.json": "24d213a463542352bee33013b4b1fa1d84ff2e20d7e6276d1a0db5eed3a01f76",
+    "tail.rep.json": "9b158acc299f72e6172f49542cc7bc9dd01699c1f7d318397f06eb00fdd7286b",
+    "vec.json": "33cd26690fd60e2e31c09272dfdd5148e2cb3d534d4909806c6c66f180d9b9c7",
+    "vec.rep.json": "f532a29d1022866c754529ef7e82d9110a474dd4f1f3a977639bfdc2cf2eee2e",
+    "w.json": "e7db1ea47ec7e68af6cf6f4274b4bf9eccacb3f72eb23d7239c0ae8e5860c67a",
+    "w.rep.json": "5be3d4587d84812a92d3986a7c32645e32ccee2b41b6b1051b770b6a976cbd0b",
 }
-
 
 def artifacts_64(tmp_path) -> dict:
     runner = CliRunner()

@@ -87,6 +87,13 @@ def test_expansion_positive_iff_connected(rng):
     assert sampled.c >= 4 / 3 - 1e-12
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sampled_expansion_rejects_a_non_positive_sample_count(samples):
+    # -5 once drew no subset and reported c=inf, which fails the report's invariants
+    with pytest.raises(ValueError, match="sampled mode needs a positive sample count"):
+        expansion_constant(complete_graph(4), mode="sampled", samples=samples)
+
+
 def test_concentration_examples():
     g4 = cycle_graph(4)
     const = concentration_test(g4, np.zeros((4, 2)), c_edge=1.0)
