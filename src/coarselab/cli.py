@@ -32,20 +32,24 @@ def _fail(message: str):
     sys.exit(1)
 
 
-def _save(path, save, *args):
-    """``save(*args, path)``: a value the writer refuses, or a path that
-    cannot be opened, is an error line."""
+def _write(*outputs):
+    """Write every output of a command, all or nothing.  Each output is a
+    (path, value) pair, with path None when it was not asked for, and value
+    a library object, written as its document, or the text of a CSV file.
+    A value the writer refuses, or a path that cannot be written, is an
+    error line, and then none of the outputs is written."""
+    files = {}
+    for path, value in outputs:
+        if path is None:
+            continue
+        try:
+            files[path] = value.encode() if isinstance(value, str) else io.dumps(io.write(value)) + b"\n"
+        except (ValueError, TypeError) as exc:
+            _fail(f"cannot write {path}: {exc}")
     try:
-        save(*args, path)
-    except OSError as exc:  # its text would name the temporary file
-        _fail(f"cannot write {path}: {exc.strerror or exc}")
-    except (ValueError, TypeError) as exc:
-        _fail(f"cannot write {path}: {exc}")
-
-
-def _dump(obj, path):
-    """Write the document of a library object."""
-    _save(path, io.dump, io.write(obj))
+        io.dump_files(files)
+    except OSError as exc:
+        _fail(f"cannot write {exc.filename}: {exc.strerror or exc}")
 
 
 def _load(path, kind=None):
@@ -67,15 +71,6 @@ def _named_group(kind: str, n: int) -> G.FiniteGroup:
 def _same_size(kern, sp):
     if kern.matrix.shape[0] != sp.n:
         _fail(f"the kernel has {kern.matrix.shape[0]} points but --space has {sp.n}")
-
-
-def _write_space(space, out, tol):
-    try:
-        SP.FiniteMetricSpace(space.points, space.dist, blocks=space.blocks)
-    except ValueError as exc:
-        _fail(f"output space failed invariant re-check: {exc}")
-    _dump(space, out)
-    click.echo(f"wrote space ({space.n} points, tol {tol}) to {out}")
 
 
 @click.group()
@@ -127,15 +122,21 @@ def space(action, kind, n, branch, depth, d, n_max, base, k, seed, tol, out, gra
             sp = G.hypercube_space(_named_group("zn", base), n_max)
     except ValueError as exc:
         _fail(f"cannot build {kind}: {exc}")
+    if sp.n == 0:  # a 0 x 0 matrix is written as [], which no reader can size
+        _fail(f"cannot build {kind}: a space needs at least one point")
     if graph_out and kind in ("box", "nowak"):
         _fail(f"--graph-out needs a graph kind, not {kind}")
     graph = _unit_graph(sp, "the space") if graph_out else None
-    _write_space(sp, out, tol)
+    try:
+        SP.FiniteMetricSpace(sp.points, sp.dist, blocks=sp.blocks)
+    except ValueError as exc:
+        _fail(f"output space failed invariant re-check: {exc}")
+    kern = K.Kernel(matrix=sp.dist, normalized=True) if kernel_out else None
+    _write((out, sp), (graph_out, graph), (kernel_out, kern))
+    click.echo(f"wrote space ({sp.n} points, tol {tol}) to {out}")
     if graph_out:
-        _dump(graph, graph_out)
         click.echo(f"wrote graph ({graph.n} vertices, degree {graph.degree}) to {graph_out}")
     if kernel_out:
-        _dump(K.Kernel(matrix=sp.dist, normalized=True), kernel_out)
         click.echo(f"wrote distance kernel ({sp.n} points) to {kernel_out}")
 
 
@@ -150,7 +151,7 @@ def space(action, kind, n, branch, depth, d, n_max, base, k, seed, tol, out, gra
 def group(action, kind, n, out):
     """Generate a finite group with its word-length data."""
     g = _named_group(kind, n)
-    _dump(g, out)
+    _write((out, g))
     click.echo(f"wrote group ({g.n} elements) to {out}")
 
 
@@ -215,10 +216,8 @@ def witness(action, inp, space_path, kind, target, r, eps, s, ray, p, m_quant, d
         rep = replace(W.measure_witness(w, sp, r), tol=tol)
     except ValueError as exc:
         _fail(str(exc))
-    if report_path:
-        _dump(rep, report_path)
+    _write((report_path, rep), (out, w))
     if out:
-        _dump(w, out)
         click.echo(f"wrote {w.form} witness to {out}")
     click.echo(
         f"form={w.form} eps_measured={rep.eps_measured:.6g} S_measured={rep.S_measured:.6g} "
@@ -247,8 +246,7 @@ def kernel(action, inp, space_path, op, other, t, alpha, tol, out):
             cls = K.classify_kernel(kern, tol)
         except ValueError as exc:
             _fail(str(exc))
-        if out:
-            _dump(cls, out)
+        _write((out, cls))
         click.echo(f"positive_type={cls.positive_type} negative_type={cls.negative_type} tol={tol}")
         return
     if action == "transform":
@@ -272,8 +270,7 @@ def kernel(action, inp, space_path, op, other, t, alpha, tol, out):
         expected_ok = cls.positive_type if op in ("schur", "exp") else cls.negative_type
         if not expected_ok:
             _fail(f"transform output failed its type re-check (op {op})")
-        if out:
-            _dump(result, out)
+        _write((out, result))
         click.echo(f"transform {op} done (tol {tol})")
         return
     if space_path is None:
@@ -281,8 +278,7 @@ def kernel(action, inp, space_path, op, other, t, alpha, tol, out):
     sp = _load(space_path, "space")
     _same_size(kern, sp)
     rep = K.kernel_operator_bridge(kern, sp, tol=tol)
-    if out:
-        _dump(rep, out)
+    _write((out, rep))
     click.echo(
         f"norm={rep.operator_norm:.6g} N={rep.ball_bound} within={rep.norm_within_bound} "
         f"psd_agreement={rep.psd_agreement}"
@@ -315,8 +311,7 @@ def spectral(action, inp, group_kind, n, mode, samples, seed, tol, out, csv_path
         except ValueError as exc:
             _fail(str(exc))
         rep = replace(rep, group=group_kind, n=n, tol=tol)
-        if out:
-            _dump(rep, out)
+        _write((out, rep))
         click.echo(f"eps={rep.eps:.9g} cert={rep.cert_lower:.9g} expansion_ok={rep.expansion_ok}")
         if rep.expansion_ok is False:
             _fail("per-quotient expansion inequality failed")
@@ -326,18 +321,14 @@ def spectral(action, inp, group_kind, n, mode, samples, seed, tol, out, csv_path
     graph = _load(inp, "graph")
     if action == "report":
         rep = replace(SG.laplacian_gap(graph), tol=tol)
-        if out:
-            _dump(rep, out)
-        if csv_path:
-            _save(csv_path, io.spectrum_to_csv, rep.spectrum)
+        _write((out, rep), (csv_path, io.spectrum_csv(rep.spectrum) if csv_path else None))
         click.echo(f"lambda={rep.lam:.9g} n={graph.n} degree={graph.degree}")
         return
     try:
         rep = replace(SG.expansion_constant(graph, mode=mode, samples=samples, seed=seed), tol=tol)
     except ValueError as exc:
         _fail(str(exc))
-    if out:
-        _dump(rep, out)
+    _write((out, rep))
     click.echo(f"c={rep.c:.9g} mode={rep.mode} |A|={len(rep.subset)}")
 
 
@@ -363,10 +354,7 @@ def diam(group_kind, n, r_values, eps_values, form, exact, out, csv_path):
     if not table.monotone():
         _fail("diam table violates monotonicity")
     table.target = f"{group_kind}({n})"
-    if out:
-        _dump(table, out)
-    if csv_path:
-        _save(csv_path, io.diam_to_csv, table)
+    _write((out, table), (csv_path, io.diam_csv(table) if csv_path else None))
     for (r, e), s in sorted(table.entries.items()):
         click.echo(f"R={r:g} eps={e:g} -> S={s:g} (defect {float(table.defects[(r, e, s)]):.6g})")
 
@@ -394,12 +382,9 @@ def embed(inp, space_path, mode, tol, csv_path, profile_path):
     except ValueError as exc:
         _fail(str(exc))
     n = emb.coords.shape[0]
-    ids = list(range(n))
-    if csv_path:
-        _save(csv_path, io.embedding_to_csv, emb.coords, ids)
-    if profile_path:
-        prof = SP.compression_profile(SP.PointMap(sp, None, emb.coords))
-        _save(profile_path, io.profile_to_csv, prof)
+    csv = io.embedding_csv(emb.coords, list(range(n))) if csv_path else None
+    profile = io.profile_csv(SP.compression_profile(SP.PointMap(sp, None, emb.coords))) if profile_path else None
+    _write((csv_path, csv), (profile_path, profile))
     click.echo(f"embedded {n} points into dim {emb.dimension} (clipped mass {emb.clipped_mass:.3g}, tol {tol})")
 
 

@@ -13,7 +13,8 @@ with their keys sorted.  Each float is written as the shortest text that
 reads back to the same double, so identical values always produce identical
 bytes.  Strings are raw UTF-8.  A NaN or an infinity (ValueError), an integer
 beyond 64 bits or a dict key that is not a string (TypeError) is refused
-before anything is written.
+before anything is written.  ``dump_files`` writes the files of one command,
+documents and CSV exports alike, all or nothing.
 
 Documents are parsed by orjson from their UTF-8 bytes.  The reader rejects,
 with ValueError, NaN and Infinity literals, numbers that overflow to inf,
@@ -78,20 +79,32 @@ def dumps(obj) -> bytes:
 
 
 def dump(obj, path):
-    """Write atomically: serialise first, then replace ``path`` with a
-    complete temporary file from its directory, so a failure leaves no
-    partial file behind."""
-    data = dumps(obj) + b"\n"
-    head, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    """Write one document atomically (see ``dump_files``)."""
+    dump_files({path: dumps(obj) + b"\n"})
+
+
+def dump_files(files: dict):
+    """Write ``{path: bytes}`` all or nothing: each to a temporary file in
+    its directory, and only when every one is complete, replace each path
+    with its file.  A temporary file that cannot be written leaves every
+    path as it was; no temporary file is left behind, and an OSError names
+    the path, not its temporary file."""
+    temps, path = {}, None
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for k, (path, data) in enumerate(files.items()):
+            head, name = os.path.split(os.fspath(path))
+            tmp = os.path.join(head, f".{name}.{os.getpid()}.{k}.tmp")
+            temps[tmp] = path
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+        for tmp, path in temps.items():
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _depth(data: bytes) -> int:
@@ -422,37 +435,37 @@ def kernel_to_doc(kernel, propagation=None, normalized=None) -> dict:
                         propagation=k.propagation if propagation is None else propagation))
 
 
-# -- CSV exports ---------------------------------------------------------------
+# -- CSV exports: the text of each file ---------------------------------------
 
 
-def profile_to_csv(profile: CompressionProfile, path):
+def profile_csv(profile: CompressionProfile) -> str:
     env1 = profile.rho1_envelope()
     env2 = profile.rho2_envelope()
-    with open(path, "w") as fh:
-        fh.write("r_lo,r_hi,rho1,rho2,rho1_envelope,rho2_envelope\n")
-        for (lo, hi), r1, r2, e1, e2 in zip(profile.bins, profile.rho1, profile.rho2, env1, env2):
-            fh.write(f"{lo:.17g},{hi:.17g},{r1:.17g},{r2:.17g},{e1:.17g},{e2:.17g}\n")
+    lines = ["r_lo,r_hi,rho1,rho2,rho1_envelope,rho2_envelope\n"]
+    for (lo, hi), r1, r2, e1, e2 in zip(profile.bins, profile.rho1, profile.rho2, env1, env2):
+        lines.append(f"{lo:.17g},{hi:.17g},{r1:.17g},{r2:.17g},{e1:.17g},{e2:.17g}\n")
+    return "".join(lines)
 
 
-def diam_to_csv(table: DiamTable, path):
-    with open(path, "w") as fh:
-        fh.write("target,form,R,eps,S,optimal_defect\n")
-        for (r, eps), s in sorted(table.entries.items()):
-            defect = table.defects.get((r, eps, s))
-            fh.write(f"{table.target},{table.form},{r:.17g},{eps:.17g},{s:.17g},{float(defect):.17g}\n")
+def diam_csv(table: DiamTable) -> str:
+    lines = ["target,form,R,eps,S,optimal_defect\n"]
+    for (r, eps), s in sorted(table.entries.items()):
+        defect = table.defects.get((r, eps, s))
+        lines.append(f"{table.target},{table.form},{r:.17g},{eps:.17g},{s:.17g},{float(defect):.17g}\n")
+    return "".join(lines)
 
 
-def embedding_to_csv(coords, point_ids, path):
+def embedding_csv(coords, point_ids) -> str:
     coords = np.asarray(coords, dtype=float)
-    with open(path, "w") as fh:
-        fh.write("point," + ",".join(f"x{i}" for i in range(coords.shape[1])) + "\n")
-        for pid, row in zip(point_ids, coords):
-            point = json.dumps(pid, default=operator.index).replace(",", ";")  # numpy integers as ints
-            fh.write(point + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    lines = ["point," + ",".join(f"x{i}" for i in range(coords.shape[1])) + "\n"]
+    for pid, row in zip(point_ids, coords):
+        point = json.dumps(pid, default=operator.index).replace(",", ";")  # numpy integers as ints
+        lines.append(point + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines)
 
 
-def spectrum_to_csv(spectrum, path):
-    with open(path, "w") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, v in enumerate(np.asarray(spectrum, dtype=float)):
-            fh.write(f"{i},{v:.17g}\n")
+def spectrum_csv(spectrum) -> str:
+    lines = ["index,eigenvalue\n"]
+    for i, v in enumerate(np.asarray(spectrum, dtype=float)):
+        lines.append(f"{i},{v:.17g}\n")
+    return "".join(lines)

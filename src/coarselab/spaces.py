@@ -14,11 +14,88 @@ import numpy as np
 
 #: relative tolerance for all metric comparisons (scaled by the matrix max)
 METRIC_TOL = 1e-9
+#: a unit graph with more edges at a point goes to the triangle loop: its
+#: proof would gather about as many entries as the loop, each at a higher cost
+_UNIT_DEGREE_CAP = 32
+#: entries gathered at once by the unit-graph proof
+_UNIT_CHUNK = 2**18
 
 
 def _scaled_tol(dist: np.ndarray) -> float:
     scale = float(dist.max()) if dist.size else 1.0
     return METRIC_TOL * max(scale, 1.0)
+
+
+def _triangle_failure(dist: np.ndarray, tol: float):
+    """The first (i, k, j), in order of the middle point k, with
+    d(i, j) > d(i, k) + d(k, j) + tol, or None: the triangle inequality
+    vectorized over k, in O(n^3)."""
+    for k in range(len(dist)):
+        slack = dist[:, k][:, None] + dist[k, :][None, :] - dist
+        if slack.min() < -tol:
+            i, j = np.unravel_index(np.argmin(slack), slack.shape)
+            return int(i), k, int(j)
+    return None
+
+
+def _is_unit_graph_metric(d: np.ndarray) -> bool:
+    """Whether the integer matrix ``d`` (zero diagonal, symmetric, positive
+    off it) is the path metric of its unit graph {d = 1}, and so a metric.
+    It is iff the nearest neighbour k of i to j has d(k, j) = d(i, j) - 1
+    for every j != i: no neighbour nearer by two or more, with each unit
+    edge in both directions, means |d(k, .) - d(i, .)| <= 1 along every
+    edge, so that no d(i, j) exceeds the length of a path from i to j; one
+    nearer by one, at each step, walks a path of length d(i, j) to j.
+    O(edges * n); False, for the triangle loop to decide, on a dense unit
+    graph."""
+    n = len(d)
+    if n < 2:
+        return True
+    src, dst = np.nonzero(d == 1)  # the edges of each point i, i ascending
+    degree = np.bincount(src, minlength=n)
+    if degree.min() == 0 or degree.max() > _UNIT_DEGREE_CAP:
+        return False
+    first = np.concatenate(([0], np.cumsum(degree)))
+    step = max(1, _UNIT_CHUNK // (int(degree.max()) * n))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        nearest = np.minimum.reduceat(d[dst[first[lo]:first[hi]]], first[lo:hi] - first[lo], axis=0)
+        # at j = i the nearest neighbour is at 1, not at d(i, i) - 1 = -1
+        if np.count_nonzero(nearest == d[lo:hi] - 1) != (hi - lo) * (n - 1):
+            return False
+    return True
+
+
+def _proved_by_structure(d: np.ndarray, blocks) -> bool:
+    """Whether the integer matrix ``d``, which passed the entry checks, is a
+    metric by its structure: the path metric of its unit graph, or a union
+    of such metrics over the runs of equal ``blocks`` labels at constant
+    cross distances that satisfy the block-level rule.  Only ever accepts;
+    False sends ``d`` to the triangle loop."""
+    n = len(d)
+    cuts = [0] if blocks is None else [0] + [i for i in range(1, n) if blocks[i] != blocks[i - 1]]
+    if len(cuts) == 1:
+        return _is_unit_graph_metric(d)
+    spans = list(zip(cuts, cuts[1:] + [n]))
+    run = np.repeat(np.arange(len(spans)), [e - s for s, e in spans])
+    c = d[np.ix_(cuts, cuts)]
+    if not np.all((run[:, None] == run[None, :]) | (d == c[np.ix_(run, run)])):
+        return False
+    return all(_is_unit_graph_metric(d[s:e, s:e]) for s, e in spans) and _union_triangles_hold(d, spans, c)
+
+
+def _union_triangles_hold(d: np.ndarray, spans, c: np.ndarray) -> bool:
+    """The triangle inequality on integer metric blocks ``d[s:e, s:e]`` at
+    constant cross distances ``c``, in O(m^3) for m blocks rather than
+    O(n^3) for n points.  A triple inside one block holds as the block is a
+    metric; one with both ends in block a and its middle in block b holds
+    iff diam_a <= 2 c_ab; one across three blocks iff c, zero on the
+    diagonal, is a metric on the blocks.  Entries below 2**14 keep every
+    int16 sum here below 2**15."""
+    diam = np.array([d[s:e, s:e].max() for s, e in spans])
+    if not np.all((2 * c >= diam[:, None]) | np.eye(len(spans), dtype=bool)):
+        return False
+    return all((c[:, b][:, None] + c[b, :][None, :] >= c).all() for b in range(len(spans)))
 
 
 class FiniteMetricSpace:
@@ -60,19 +137,16 @@ class FiniteMetricSpace:
 
     def _validate(self):
         self._validate_entries()
-        n, tol = self.n, _scaled_tol(self.dist)
-        # triangle inequality, vectorized over the middle point; in int16 when
-        # every entry is an integer below 2**14: sums cannot overflow, and as
-        # tol < 1, slack < -tol is the same test as slack <= -1
+        # in int16 when every entry is an integer below 2**14: sums cannot
+        # overflow, and as tol < 1, slack < -tol is the same test as slack <= -1
         small = self.is_integer and self.dist.max(initial=0.0) < 2**14
         dist = self.dist.astype(np.int16) if small else self.dist
-        for k in range(n):
-            slack = dist[:, k][:, None] + dist[k, :][None, :] - dist
-            if slack.min() < -tol:
-                i, j = np.unravel_index(np.argmin(slack), slack.shape)
-                raise ValueError(
-                    f"triangle inequality fails for ({self.points[i]}, {self.points[k]}, {self.points[j]})"
-                )
+        if small and _proved_by_structure(dist, self.blocks):
+            return
+        failure = _triangle_failure(dist, _scaled_tol(self.dist))
+        if failure is not None:
+            i, k, j = (self.points[x] for x in failure)
+            raise ValueError(f"triangle inequality fails for ({i}, {k}, {j})")
 
     @property
     def n(self) -> int:
@@ -256,39 +330,7 @@ def separated_union(blocks, rule: str = "max-diam-plus-1") -> FiniteMetricSpace:
             sj, ej = start[j], start[j + 1]
             dist[si:ei, sj:ej] = cross[i][j]
             dist[sj:ej, si:ei] = cross[i][j]
-    space = FiniteMetricSpace(points, dist, blocks=labels, _skip_checks=True)
-    space._validate_entries()
-    _check_union_triangles(space, start)
-    return space
-
-
-def _check_union_triangles(space: FiniteMetricSpace, start):
-    """The triangle inequality on a union of metric blocks at constant cross
-    distances c, in O(m^3) for m blocks rather than O(n^3) for n points.  A
-    triple inside one block holds as the block is a metric; one with both
-    ends in block i and its middle in block j holds iff diam_i <= 2 c_ij;
-    one across three blocks iff c, zero on the diagonal, is a metric on the
-    blocks.  Sums and tolerance are those of the full check, so the verdict
-    is the same."""
-    tol = _scaled_tol(space.dist)
-    spans = [(int(s), int(e)) for s, e in zip(start, start[1:]) if e > s]  # the nonempty blocks
-    first = [s for s, _e in spans]
-    c = space.dist[np.ix_(first, first)]
-
-    def fail(i, k, j):
-        raise ValueError(f"triangle inequality fails for ({space.points[i]}, {space.points[k]}, {space.points[j]})")
-
-    for a, (s, e) in enumerate(spans):
-        x, y = np.unravel_index(np.argmax(space.dist[s:e, s:e]), (e - s, e - s))
-        slack = c[a] + c[a] - space.dist[s + x, s + y]
-        slack[a] = 0.0
-        if slack.min() < -tol:
-            fail(s + x, first[int(np.argmin(slack))], s + y)
-    for b in range(len(first)):
-        slack = c[:, b][:, None] + c[b, :][None, :] - c
-        if slack.min() < -tol:
-            a, d = np.unravel_index(np.argmin(slack), slack.shape)
-            fail(first[a], first[b], first[d])
+    return FiniteMetricSpace(points, dist, blocks=labels)
 
 
 def net_extract(space: FiniteMetricSpace, delta: float) -> FiniteMetricSpace:

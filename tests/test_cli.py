@@ -506,6 +506,47 @@ def test_unwritable_output_path_is_an_error_line(runner, tmp_path, monkeypatch, 
     assert not (tmp_path / "nodir").exists()
 
 
+# commands with several outputs whose last cannot be written; the others were
+# left behind; with a writable path in its place, all are written
+PARTIAL = {
+    "space --kernel-out": (["space", "gen", "--kind", "cycle", "--n", "8", "--out", "c.json",
+                            "--graph-out", "g2.json", "--kernel-out", "nodir/k.json"], ["c.json", "g2.json"]),
+    "witness --out": (["witness", "build", "--space", "c8.json", "--kind", "ball", "--s", "2", "--r", "1",
+                       "--report", "ok.json", "--out", "nodir/w.json"], ["ok.json"]),
+    "spectral --csv": (["spectral", "report", "--in", "g.json", "--out", "s.json", "--csv", "nodir/s.csv"],
+                       ["s.json"]),
+    "diam --csv": (["diam", "--group", "zn", "--n", "4", "--out", "d.json", "--csv", "nodir/d.csv"], ["d.json"]),
+    "embed --profile": (["embed", "--in", "k.json", "--space", "c8.json", "--csv", "e.csv",
+                         "--profile", "nodir/p.csv"], ["e.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARTIAL))
+def test_a_command_with_several_outputs_writes_all_or_none(runner, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    invoke(runner, ["space", "gen", "--kind", "cycle", "--n", "8", "--out", "c8.json",
+                    "--graph-out", "g.json", "--kernel-out", "k.json"])
+    args, others = PARTIAL[case]
+    res = invoke(runner, args)
+    assert res.exit_code == 1 and "error: cannot write nodir/" in res.output, res.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c8.json", "g.json", "k.json"]  # no temporary files either
+    res = invoke(runner, [a.replace("nodir/", "") for a in args])
+    assert res.exit_code == 0, res.output
+    assert all((tmp_path / name).is_file() for name in others)
+
+
+def test_space_gen_writes_no_0_point_space_that_report_refuses(runner, tmp_path):
+    # space gen wrote this document, with exit 0, and report then refused it:
+    # the reader cannot size an empty dist, so the writer refuses 0 points
+    p0 = tmp_path / "p0.json"
+    p0.write_text('{"dist":[],"kind":"space","points":[],"schema":"coarselab/1"}')
+    res = invoke(runner, ["report", "--in", str(p0)])
+    assert res.exit_code == 1 and "error: cannot read" in res.output, res.output
+    res = invoke(runner, ["space", "gen", "--kind", "path", "--n", "0", "--out", str(tmp_path / "q.json")])
+    assert res.exit_code == 1 and "error: cannot build path: a space needs at least one point" in res.output
+    assert not (tmp_path / "q.json").exists()
+
+
 SPACE_INPUTS = {
     "cycle without --n": (["--kind", "cycle"], "--kind cycle needs --n"),
     "cycle --n -3": (["--kind", "cycle", "--n", "-3"], "cannot build cycle"),

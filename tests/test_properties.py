@@ -5,7 +5,8 @@ floats, the graph metric, compression profile, triangle check and Light's
 associativity test against their loops, witness measurement within R and
 csgraph warping against the routines they replaced, the gathers on a group's
 multiplication table against the per-element loops, the block-level triangle
-check of separated unions against the full one, diam tables sharing each
+check of separated unions against the full one, the structural proofs of a
+metric (unit graphs, blocks) against the triangle loop, diam tables sharing each
 (R, S) optimum against the per-eps scan, every document kind through write,
 read and write, written documents read back bit for bit, and the orjson
 reader against json, float bits included."""
@@ -37,6 +38,7 @@ from coarselab.groups import (
     z2_power_group,
 )
 from coarselab.kernels import Kernel, classify_kernel, kernel_operator_bridge
+from coarselab import spaces as SP
 from coarselab.spaces import (
     FiniteMetricSpace, PointMap, _scaled_tol, complete_space, compression_profile, cycle_space, graph_metric,
     hypercube_space_graph, path_space, separated_union,
@@ -613,6 +615,68 @@ def test_separated_union_matches_full_triangle_check(blocks, rule):
     else:
         assert got.points == want.points and got.blocks == want.blocks
         assert got.dist.tobytes() == want.dist.tobytes()
+
+
+# -- metrics proved by their structure against the triangle loop ------------
+
+
+@st.composite
+def structured_metrics(draw):
+    """(kind, points, dist, blocks): graph metrics, scaled by an integer or
+    not, separated unions of graph metrics or of any blocks under both
+    rules, planar point sets rounded to integers and dense unit graphs, with
+    one entry moved by +-1 or not, and block labels or not."""
+    kind = draw(st.sampled_from(["graph", "union", "plane", "dense"]))
+    points, blocks = None, None
+    if kind == "graph":
+        dist = graph_metric(draw(graphs(max_n=12).filter(SG._is_connected))).dist * draw(st.sampled_from([1, 1, 2, 3]))
+    elif kind == "union":
+        graph_blocks = st.lists(st.one_of(st.builds(cycle_space, st.integers(3, 14)),
+                                          st.builds(path_space, st.integers(1, 8)),
+                                          st.builds(hypercube_space_graph, st.integers(1, 3))), min_size=1, max_size=4)
+        parts = draw(st.one_of(union_blocks(), graph_blocks))
+        with mock.patch.object(FiniteMetricSpace, "_validate", lambda self: None):
+            union = oracle.separated_union(parts, draw(st.sampled_from(["max-diam-plus-1", "nowak"])))
+        points, dist, blocks = union.points, union.dist, union.blocks
+    elif kind == "plane":
+        xy = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((draw(st.integers(2, 12)), 2))
+        dist = np.round(squareform(pdist(xy)) * draw(st.sampled_from([2, 5, 20])))
+    else:  # every point has more unit edges than the proof takes
+        n = draw(st.integers(SP._UNIT_DEGREE_CAP + 4, SP._UNIT_DEGREE_CAP + 12))
+        adj = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
+        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)):
+            if a != b:
+                adj[a, b] = adj[b, a] = 0
+        dist = graph_metric(adj).dist
+    dist = np.array(dist, dtype=float)
+    n = len(dist)
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        dist[i, j] = dist[j, i] = dist[i, j] + draw(st.sampled_from([-1, 1]))
+    if blocks is None and draw(st.booleans()):
+        # runs of labels that need not describe a union: with singletons,
+        # the block-level rule alone decides
+        cuts = draw(st.one_of(st.just(set(range(1, n))), st.sets(st.integers(1, max(1, n - 1)))))
+        blocks = [sum(c <= i for c in cuts) for i in range(n)]
+    return kind, list(range(n)) if points is None else points, dist, blocks
+
+
+@settings(PROPERTY, max_examples=150)
+@given(case=structured_metrics())
+def test_structural_proofs_match_the_triangle_loop(case):
+    kind, points, dist, blocks = case
+    entries = _outcome(lambda: FiniteMetricSpace(points, dist, blocks=blocks, _skip_checks=True)._validate_entries())
+    want = entries if isinstance(entries, str) else oracle.triangle_error(points, dist)
+    with mock.patch.object(SP, "_triangle_failure", wraps=SP._triangle_failure) as loop:
+        got = _outcome(FiniteMetricSpace, points, dist, blocks)
+    assert (got if isinstance(got, str) else None) == want
+    if want is not None and entries is None:
+        assert loop.called  # only the loop names a failing triple
+    if kind == "dense" and entries is None and blocks is None:
+        assert loop.called
+    geodesic = _outcome(lambda: np.array_equal(dist, graph_metric((dist == 1).astype(int)).dist)) is True
+    if kind == "graph" and entries is None and blocks is None and geodesic:
+        assert not loop.called  # the path metric of a sparse unit graph is proved by it
 
 
 # -- diam tables: one LP per (R, S) against one per (R, eps, S) --------------

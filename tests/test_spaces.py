@@ -1,6 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from coarselab import serialize as io
+from coarselab import spaces as SP
+from coarselab.cli import main
+from coarselab.spectral import random_regular_graph
+import loop_oracles as oracle
 from coarselab import (
     FiniteMetricSpace,
     PointMap,
@@ -104,6 +112,73 @@ def test_separated_union_rejects_a_block_wider_than_twice_its_gap():
     with pytest.raises(ValueError, match=r"triangle inequality fails for \(\(0, 0\), \(1, 0\), \(0, 6\)\)"):
         separated_union([cycle_space(12), point], rule="nowak")
     assert separated_union([cycle_space(8), point], rule="nowak").dist[4, 8] == 2
+
+
+def test_graph_metrics_and_box_unions_are_proved_without_the_triangle_loop(tmp_path):
+    # the O(n^3) loop was the largest cost of reading and writing these:
+    # graph metrics are proved by their unit graph, box spaces by blocks
+    def no_loop(dist, tol):
+        raise AssertionError(f"the triangle loop ran on {len(dist)} points")
+
+    with mock.patch.object(SP, "_triangle_failure", no_loop):
+        for name, space in [("rr", random_regular_graph(300, 3, seed=1).metric_space()), ("cyc", cycle_space(300))]:
+            io.dump(io.write(space), tmp_path / f"{name}.json")
+        res = CliRunner().invoke(main, ["space", "gen", "--kind", "box", "--base", "2", "--k", "7",
+                                        "--out", str(tmp_path / "box.json")], catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+        sizes = {name: io.read(io.load(tmp_path / f"{name}.json")).n for name in ("rr", "cyc", "box")}
+    assert sizes == {"rr": 300, "cyc": 300, "box": 254}
+
+
+def test_a_metric_that_is_not_geodesic_goes_to_the_loop():
+    # C8 with d(0, 4) = 3 is still a metric, but not the path metric of its
+    # unit graph, the cycle, so the loop and not the unit-graph proof accepts it
+    dist = cycle_space(8).dist.copy()
+    dist[0, 4] = dist[4, 0] = 3
+    assert not SP._is_unit_graph_metric(dist.astype(np.int16))
+    with mock.patch.object(SP, "_triangle_failure", wraps=SP._triangle_failure) as loop:
+        FiniteMetricSpace(range(8), dist)
+    assert loop.call_count == 1
+    dist = dist.copy()
+    dist[0, 4] = dist[4, 0] = 5
+    with pytest.raises(ValueError, match=r"triangle inequality fails for \(0, 1, 4\)"):
+        FiniteMetricSpace(range(8), dist)
+
+
+# not metrics, each passing every check of the structural proofs but one
+NEAR_MISSES = {
+    # every d(i, j) > 0 drops by one at a neighbour of i, but the unit edge (2, 4) changes d(., 3) by 2
+    "unit edge bound": ([[0, 1, 2, 1, 1], [1, 0, 1, 2, 2], [2, 1, 0, 3, 1], [1, 2, 3, 0, 1], [1, 2, 1, 1, 0]], None),
+    # d changes by at most one along each unit edge, but d(3, 6) = 2 drops at no neighbour of 3
+    "drop by one": ([[0, 1, 2, 3, 3, 4, 1, 2], [1, 0, 1, 2, 2, 3, 2, 1], [2, 1, 0, 1, 1, 2, 3, 2],
+                     [3, 2, 1, 0, 2, 2, 2, 3], [3, 2, 1, 2, 0, 1, 4, 3], [4, 3, 2, 2, 1, 0, 5, 4],
+                     [1, 2, 3, 2, 4, 5, 0, 3], [2, 1, 2, 3, 3, 4, 3, 0]], None),
+    # the nowak union of P2 and two points, with one cross distance 5 -> 6
+    "constant cross blocks": ([[0, 1, 2, 5], [1, 0, 2, 6], [2, 2, 0, 3], [5, 6, 3, 0]], [0, 0, 1, 2]),
+    # singletons at constant cross distances that are no metric on the blocks
+    "metric on the blocks": ([[0, 1, 3], [1, 0, 1], [3, 1, 0]], [0, 1, 2]),
+    # the first block is "unit edge bound", 2 from a point: diam 3 <= 2 * 2
+    "metric blocks": ([[0, 1, 2, 1, 1, 2], [1, 0, 1, 2, 2, 2], [2, 1, 0, 3, 1, 2], [1, 2, 3, 0, 1, 2],
+                       [1, 2, 1, 1, 0, 2], [2, 2, 2, 2, 2, 0]], [0, 0, 0, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_MISSES))
+def test_each_check_of_the_structural_proofs_is_needed(case):
+    dist, blocks = NEAR_MISSES[case]
+    dist, points = np.array(dist, dtype=float), list(range(len(dist)))
+    assert not SP._proved_by_structure(dist.astype(np.int16), blocks)
+    want = oracle.triangle_error(points, dist)
+    assert want is not None
+    with pytest.raises(ValueError) as exc:
+        FiniteMetricSpace(points, dist, blocks=blocks)
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_the_unit_graph_proof_accepts_zero_and_one_point(n):
+    assert SP._proved_by_structure(np.zeros((n, n), dtype=np.int16), None)
+    assert SP._proved_by_structure(np.zeros((n, n), dtype=np.int16), [0] * n)
 
 
 def test_net_extract():
