@@ -183,7 +183,10 @@ def _choice(doc, key, choices, what):
 
 def _as_array(value, what: str, shape: tuple, dtype=float) -> np.ndarray:
     """``value`` as an array of ``shape`` (None: any length) of finite
-    numbers, or of integers when ``dtype`` is int."""
+    numbers, or of integers when ``dtype`` is int.  An empty list is the
+    empty array of ``shape``: a 0-point matrix is [], not [[]]."""
+    if isinstance(value, list) and not value:
+        return np.zeros(tuple(n or 0 for n in shape), dtype=dtype)
     try:
         a = np.asarray(value)
     except ValueError:  # ragged

@@ -108,7 +108,7 @@ class FiniteMetricSpace:
 
     def __init__(self, points, dist, blocks=None, _skip_checks=False):
         self.points = list(points)
-        self.dist = np.asarray(dist, dtype=float)
+        self.dist = np.array(dist, dtype=float)  # a copy: freezing it below leaves the caller's array writable
         self.blocks = list(blocks) if blocks is not None else None
         self.is_integer = bool(np.all(self.dist == np.round(self.dist)))
         if not _skip_checks:

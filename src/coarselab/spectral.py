@@ -168,12 +168,17 @@ def _all_subsets(n: int):
         yield np.arange(start, min(start + _CHUNK, full), dtype=np.uint64)[:, None]
 
 
-def _sampled_subsets(n: int, samples: int, rng):
+def _sampled_subsets(n: int, samples: int, seed: int):
+    """``samples`` nonempty proper subsets of n vertices: each a size uniform
+    in [1, n), then a uniform subset of that size, the vertices whose rank in
+    a uniform permutation is below it.  Sizes and permutations come from two
+    streams of the seed, each read in order, so no draw depends on _CHUNK."""
+    sizes_rng, ranks_rng = np.random.default_rng(seed).spawn(2)
+    ranks = np.arange(n, dtype=np.min_scalar_type(n))
     for start in range(0, samples, _CHUNK):
-        bits = np.zeros((min(_CHUNK, samples - start), n), dtype=bool)
-        for row in bits:
-            row[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = True
-        yield _pack(bits)
+        c = min(_CHUNK, samples - start)
+        sizes = sizes_rng.integers(1, n, size=c)
+        yield _pack(ranks_rng.permuted(np.tile(ranks, (c, 1)), axis=1) < sizes[:, None])
 
 
 def expansion_constant(graph, mode: str = "exact", samples: int | None = None, seed: int = 0) -> ExpansionReport:
@@ -193,7 +198,7 @@ def expansion_constant(graph, mode: str = "exact", samples: int | None = None, s
     elif mode == "sampled":
         if samples is None or samples < 1:
             raise ValueError("sampled mode needs a positive sample count")
-        batches = _sampled_subsets(n, samples, np.random.default_rng(seed))
+        batches = _sampled_subsets(n, samples, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     c, subset = _first_minimum(adj, batches, lambda boundary, size: boundary / ((1.0 - size / n) * size))

@@ -81,11 +81,11 @@ def _reference(adj, mode, samples=None, seed=0):
     if mode == "exact":
         candidates = range(1, (1 << n) - 1)
     else:
-        rng = np.random.default_rng(seed)
-        candidates = []
-        for _ in range(samples):
-            size = int(rng.integers(1, n))
-            candidates.append(sum(1 << int(v) for v in rng.choice(n, size=size, replace=False)))
+        # every sample in one draw: a size, then the vertices ranked below it
+        sizes_rng, ranks_rng = np.random.default_rng(seed).spawn(2)
+        sizes = sizes_rng.integers(1, n, size=samples).tolist()
+        ranks = ranks_rng.permuted(np.tile(np.arange(n), (samples, 1)), axis=1).tolist()
+        candidates = [sum(1 << v for v in range(n) if row[v] < size) for size, row in zip(sizes, ranks)]
     best, best_mask = math.inf, 0
     for m in candidates:
         r = _subset_ratio(m, masks, n)
@@ -114,6 +114,17 @@ def test_subset_kernel_matches_reference_enumeration(adj, chunk, seed):
         sampled = SG.expansion_constant(adj, mode="sampled", samples=50, seed=seed)
     assert (exact.c, exact.subset) == _reference(adj, "exact")
     assert (sampled.c, sampled.subset) == _reference(adj, "sampled", samples=50, seed=seed)
+
+
+@PROPERTY
+@given(adj=graphs(), samples=st.integers(2, 200), seed=st.integers(0, 2**16))
+def test_sampled_expansion_bounds_the_exact_constant(adj, samples, seed):
+    sampled = SG.expansion_constant(adj, mode="sampled", samples=samples, seed=seed)
+    n = adj.shape[0]
+    mask = sum(1 << v for v in sampled.subset)
+    assert 0 < mask < (1 << n) - 1
+    assert sampled.c >= SG.expansion_constant(adj, mode="exact").c
+    assert sampled.c == _subset_ratio(mask, _neighbor_masks(adj), n)
 
 
 # -- Kazhdan gaps on direct products of small cyclic and dihedral groups -----

@@ -60,6 +60,13 @@ def test_space_validation_rejects_bad_matrices():
         FiniteMetricSpace([0, 1], [[0, 0], [0, 0]])
 
 
+def test_space_leaves_the_callers_array_writable():
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sp = FiniteMetricSpace([0, 1], d)
+    d[0, 1] = 2.0
+    assert sp.dist[0, 1] == 1.0 and not sp.dist.flags.writeable
+
+
 @pytest.mark.parametrize("d", [1e8, 2e9, 1e12])
 def test_space_validation_accepts_large_distances(d):
     # the tolerance scales with the largest distance and reaches 1 at 1e9,
